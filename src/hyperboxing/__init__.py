@@ -23,7 +23,6 @@ from .scalarization import (
     NoIntersection,
     PSQuery,
     PSSolution,
-    solve_grid_ps,
     solve_quadric_ps,
 )
 from .search_region import SearchRegion, Strategy, bounds_oracle
@@ -54,7 +53,6 @@ __all__ = [
     "make_problem",
     "quality_summary",
     "run_representation",
-    "solve_grid_ps",
     "solve_quadric_ps",
     "start_box_for",
     "strictly_less",

@@ -212,6 +212,9 @@ def cmd_serve(args) -> int:
         with open(args.report, "w") as fh:
             json.dump(result, fh, indent=2)
             fh.write("\n")
+    if session.truncated:
+        print("warning: iteration cap reached, representation is partial", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -30,6 +30,8 @@ from .scalarization import (
 from .search_region import SearchRegion, Strategy
 
 DEFAULT_MAX_ITERATIONS = 100_000
+# Relative tolerance on |z_i + lambda_i - (p_i + alpha q_i)| for submitted answers.
+RAY_TOL = 1e-9
 
 
 class Ack(str, Enum):
@@ -170,6 +172,14 @@ class Session:
             raise ContractError(f"negative slack beyond tolerance: {solution.lam}")
         z = tuple(float(v) for v in solution.z)
         s = tuple(zi + max(float(li), 0.0) for zi, li in zip(z, solution.lam))
+        alpha = float(solution.alpha)
+        for si, pi, qi in zip(s, query.p, query.q):
+            # Written as not(<=) so that a NaN anywhere is refused too.
+            if not abs(si - (pi + alpha * qi)) <= RAY_TOL * (1.0 + abs(pi) + abs(alpha * qi)):
+                raise ContractError(
+                    f"z + lambda = {s} is off the query ray p + alpha q "
+                    f"(p={query.p}, q={query.q}, alpha={alpha})"
+                )
 
         dominated = bool((self._accepted <= np.asarray(z)).all(axis=1).any())
         self.region.apply_point(z, s, lower_only=dominated)

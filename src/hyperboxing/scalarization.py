@@ -9,8 +9,8 @@ Backends:
 
 * :func:`solve_quadric_ps` -- closed form for feasible sets bounded by
   sum((z_i/a_i)^2) <= 1.
-* :class:`GridScalarizer` / :func:`solve_grid_ps` -- minimax over a uniform
-  decision grid with one local refinement pass.
+* :class:`GridScalarizer` -- minimax over a uniform decision grid with one
+  local refinement pass.
 * :func:`encode_query` / :func:`decode_solution` -- JSON-lines codec for
   driving an external solver over a byte stream.
 """
@@ -116,6 +116,14 @@ class GridScalarizer:
     The base grid and its objective values are computed once; each query
     only evaluates max_i (F_i(x) - p_i) / q_i over the cached values, then
     refines on a sub-grid of one base-cell width around the incumbent.
+
+    The cached image is stored column-major, one contiguous row of shape
+    (N,) per objective, and decision meshes are built column-major too, so
+    every pass over the grid reads contiguous memory.  The refinement mesh
+    and the minimax values of both passes are written into scratch buffers
+    of ``resolution ** d`` entries that are allocated once and reused by
+    every query; an instance must therefore not be called from two threads
+    at once.
     """
 
     def __init__(self, problem, resolution: int | None = None):
@@ -128,38 +136,67 @@ class GridScalarizer:
         self._lo = np.array([lo for lo, _ in problem.decision_box])
         self._hi = np.array([hi for _, hi in problem.decision_box])
         self._cell = (self._hi - self._lo) / self.resolution
-        grid = self._mesh(self._lo, self._hi)
+        d = len(self._lo)
+        n = self.resolution**d
+        grid = self._mesh(self._lo, self._hi, np.empty((d, n)))
         feas = problem.feasible_batch(grid)
         if not feas.any():
             raise InfeasibleProblem(f"no feasible grid point for {problem.name}")
-        self._x = grid[feas]
-        self._f = problem.evaluate_batch(self._x)
+        self._x = grid if feas.all() else grid[feas]
+        self._f = np.ascontiguousarray(problem.evaluate_batch(self._x).T)
+        self._refined = np.empty((d, n))
+        self._alphas = np.empty(n)
+        self._scratch = np.empty(n)
 
-    def _mesh(self, lo, hi) -> np.ndarray:
-        axes = [np.linspace(l, h, self.resolution) for l, h in zip(lo, hi)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+    def _mesh(self, lo, hi, cols: np.ndarray) -> np.ndarray:
+        """Fill the (d, N) array cols with the resolution^d mesh over [lo, hi].
+
+        Returns the (N, d) transpose view, so each coordinate is contiguous.
+        """
+        d = len(lo)
+        r = self.resolution
+        blocks = cols.reshape((d,) + (r,) * d)
+        for k in range(d):
+            shape = [1] * d
+            shape[k] = r
+            blocks[k] = np.linspace(lo[k], hi[k], r).reshape(shape)
+        return cols.T
+
+    def _minimax(self, f_cols, p, q) -> tuple[int, float]:
+        """Argmin and minimum of max_i (f_i - p_i) / q_i over the n points of an (m, n) image.
+
+        The max is folded objective by objective in the order max(axis=1)
+        uses, so the values match that reduction bit for bit.
+        """
+        n = f_cols.shape[1]
+        alphas = self._alphas[:n]
+        scratch = self._scratch[:n]
+        np.subtract(f_cols[0], p[0], out=alphas)
+        np.divide(alphas, q[0], out=alphas)
+        for i in range(1, len(f_cols)):
+            np.subtract(f_cols[i], p[i], out=scratch)
+            np.divide(scratch, q[i], out=scratch)
+            np.maximum(alphas, scratch, out=alphas)
+        j = int(alphas.argmin())
+        return j, float(alphas[j])
 
     def solve(self, query: PSQuery) -> PSSolution:
         p = np.asarray(query.p)
         q = np.asarray(query.q)
-        alphas = ((self._f - p) / q).max(axis=1)
-        i = int(alphas.argmin())
-        best_alpha = float(alphas[i])
+        i, best_alpha = self._minimax(self._f, p, q)
         best_x = self._x[i]
-        best_f = self._f[i]
+        best_f = self._f[:, i]
 
         lo = np.maximum(self._lo, best_x - self._cell)
         hi = np.minimum(self._hi, best_x + self._cell)
-        refined = self._mesh(lo, hi)
+        refined = self._mesh(lo, hi, self._refined)
         feas = self.problem.feasible_batch(refined)
         if feas.any():
-            xr = refined[feas]
+            xr = refined if feas.all() else refined[feas]
             fr = self.problem.evaluate_batch(xr)
-            ar = ((fr - p) / q).max(axis=1)
-            j = int(ar.argmin())
-            if float(ar[j]) < best_alpha:
-                best_alpha = float(ar[j])
+            j, alpha = self._minimax(fr.T, p, q)
+            if alpha < best_alpha:
+                best_alpha = alpha
                 best_x = xr[j]
                 best_f = fr[j]
 
@@ -167,11 +204,6 @@ class GridScalarizer:
         s = tuple(pi + best_alpha * qi for pi, qi in zip(query.p, query.q))
         lam = _clamp_lambda((si - zi for si, zi in zip(s, z)), LAMBDA_SOLVER_TOL)
         return PSSolution(query.query_id, best_alpha, z, lam, tuple(float(v) for v in best_x))
-
-
-def solve_grid_ps(query: PSQuery, problem, resolution: int | None = None) -> PSSolution:
-    """One-shot grid solve; prefer :class:`GridScalarizer` for repeated queries."""
-    return GridScalarizer(problem, resolution).solve(query)
 
 
 # -- wire protocol ------------------------------------------------------------
@@ -237,6 +269,9 @@ def decode_solution(line: str, expected_id: int | None = None, dim: int | None =
     decision = None
     if "x" in record:
         decision = _as_floats(record["x"])
+    for name, values in (("alpha", (alpha,)), ("z", z), ("lambda", lam), ("x", decision or ())):
+        if not all(math.isfinite(v) for v in values):
+            raise ProtocolError(f"non-finite {name} in solution record: {list(values)}")
     if expected_id is not None and query_id != expected_id:
         raise ProtocolError(f"query id mismatch: expected {expected_id}, got {query_id}")
     if len(z) != len(lam):

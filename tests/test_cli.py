@@ -1,6 +1,7 @@
 """Command-line interface tests: run, compare, serve and sample-front."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -153,3 +154,33 @@ class TestServeCommand:
         )
         assert proc.returncode == 1
         assert "malformed" in proc.stderr.read()
+
+    def test_nan_answer_exits_1(self, tmp_path):
+        def answer(query):
+            record = json.loads(encode_solution(solve_quadric_ps(query, (1.0, 1.0))))
+            record["alpha"] = math.nan
+            return json.dumps(record)  # writes the bare token NaN
+        proc, _, transcript = self.serve(
+            tmp_path, {"l0": [-1.0, -1.0], "u0": [0.0, 0.0]}, answer=answer
+        )
+        assert proc.returncode == 1
+        assert len(transcript) == 1
+        err = proc.stderr.read()
+        assert err.startswith("error: line 1: ") and "non-finite alpha" in err
+        assert "Traceback" not in err
+
+    def test_iteration_cap_exits_1_after_writing_outputs(self, tmp_path):
+        answer = lambda q: encode_solution(solve_quadric_ps(q, (1.0, 1.0, 1.0)))
+        report_path = tmp_path / "report.json"
+        proc, out, transcript = self.serve(
+            tmp_path, {"l0": [-1.0, -1.0, -1.0], "u0": [0.0, 0.0, 0.0]},
+            args=("--max-iterations", "3", "--report", str(report_path)), answer=answer,
+        )
+        assert proc.returncode == 1
+        assert "partial" in proc.stderr.read()
+        assert transcript[-1].strip() == '{"done": true}'
+        assert len(transcript) == 4
+        report = json.loads(report_path.read_text())
+        assert report["truncated"] is True
+        assert report["iterations"] == 3
+        assert len(out.read_text().splitlines()) == report["cardinality"] + 1

@@ -16,7 +16,12 @@ from hyperboxing.engine import (
 )
 from hyperboxing.geometry import Box, SizeMode
 from hyperboxing.problems import make_problem, nondominated_mask
-from hyperboxing.scalarization import ProtocolError, PSSolution, solve_quadric_ps
+from hyperboxing.scalarization import (
+    ContractError,
+    ProtocolError,
+    PSSolution,
+    solve_quadric_ps,
+)
 from hyperboxing.search_region import Strategy
 
 
@@ -155,17 +160,33 @@ class TestSession:
         session.submit(PSSolution(0, -0.5, (-0.5, -0.5), (0.0, 0.0)))
         query = session.next_query()
         dominated = tuple(v + 0.1 for v in (-0.5, -0.5))
-        ack = session.submit(PSSolution(query.query_id, -0.4, dominated, (0.0, 0.0)))
+        # The smallest alpha whose ray point s = p + alpha q lies above z.
+        alpha = max((zi - pi) / qi for zi, pi, qi in zip(dominated, query.p, query.q))
+        s = tuple(pi + alpha * qi for pi, qi in zip(query.p, query.q))
+        lam = tuple(si - zi for si, zi in zip(s, dominated))
+        ack = session.submit(PSSolution(query.query_id, alpha, dominated, lam))
         assert ack is Ack.SKIPPED_DOMINATED
         assert session.skipped_dominated == 1
         assert len(session.entries) == 1
 
-    def test_unsplittable_answer_evicts_box(self):
+    def test_off_ray_answer_rejected(self):
         session = self.start()
         query = session.next_query()
+        with pytest.raises(ContractError, match="off the query ray"):
+            session.submit(PSSolution(query.query_id, 0.0, (7.0, 7.0), (0.0, 0.0)))
+        assert session.entries == []
+        assert session.next_query() is query
+
+    def test_unsplittable_answer_evicts_box(self):
+        # An answer exactly on the ray always splits the queried box, so a
+        # stall needs the slack that the ray tolerance allows.  This box has
+        # edges of 1e-10, below that tolerance, so z = s = (0, 1e-10) passes
+        # as the ray point for alpha = 0.
         # z touches the box boundary in the second component and s touches
         # it in the first: neither bound list changes, the pair is evicted.
-        ack = session.submit(PSSolution(query.query_id, 0.0, (-1.0, 0.0), (0.0, 0.0)))
+        session = Session(Box((0.0, 0.0), (1e-10, 1e-10), (1.0, 1.0)), 1e-12)
+        query = session.next_query()
+        ack = session.submit(PSSolution(query.query_id, 0.0, (0.0, 1e-10), (0.0, 0.0)))
         assert ack is Ack.STALLED_EVICTED
         assert session.stalled_boxes == 1
         assert session.next_query() is None

@@ -18,7 +18,6 @@ from hyperboxing.scalarization import (
     encode_done,
     encode_query,
     encode_solution,
-    solve_grid_ps,
     solve_quadric_ps,
 )
 
@@ -113,7 +112,7 @@ class TestGridSolver:
     def test_toy_line_closed_form(self):
         # One refinement pass leaves an error of about one refined cell,
         # (2/255)/255 ~ 3e-5 here.
-        sol = solve_grid_ps(PSQuery(0, (1.0, 1.0), (1.0, 1.0)), _ToyLineProblem())
+        sol = GridScalarizer(_ToyLineProblem()).solve(PSQuery(0, (1.0, 1.0), (1.0, 1.0)))
         assert sol.alpha == pytest.approx(-0.5, abs=1e-4)
         assert sol.z == pytest.approx((0.5, 0.5), abs=1e-4)
         assert sol.decision == pytest.approx((0.5,), abs=1e-4)
@@ -121,9 +120,7 @@ class TestGridSolver:
     def test_alpha_nonpositive_when_p_attainable(self):
         # With 257 grid nodes x = 0.25 is the 65th node, so the attainable
         # point F(0.25) = (0.25, 0.75) = p is hit exactly and alpha <= 0.
-        sol = solve_grid_ps(
-            PSQuery(0, (0.25, 0.75), (1.0, 1.0)), _ToyLineProblem(), resolution=257
-        )
+        sol = GridScalarizer(_ToyLineProblem(), 257).solve(PSQuery(0, (0.25, 0.75), (1.0, 1.0)))
         assert sol.alpha <= 0.0
 
     def test_s_on_query_line_and_z_below_s(self):
@@ -156,6 +153,114 @@ class TestGridSolver:
     def test_resolution_must_be_sane(self):
         with pytest.raises(ValueError):
             GridScalarizer(make_problem("nonconvex"), 1)
+
+
+class _RowMajorReference:
+    """The row-major grid solve that GridScalarizer replaced, kept as an oracle.
+
+    It evaluates ((f - p) / q).max(axis=1).argmin() over an (N, m) image
+    and refines on a row-major mesh, exactly as the original code did.  It
+    also counts the two paths the column-major solver must get right: an
+    incumbent on the edge of the decision box (clamped refinement window)
+    and a refinement mesh that is only partly feasible.
+    """
+
+    def __init__(self, problem, resolution):
+        self.problem = problem
+        self.resolution = resolution
+        self.lo = np.array([lo for lo, _ in problem.decision_box])
+        self.hi = np.array([hi for _, hi in problem.decision_box])
+        self.cell = (self.hi - self.lo) / resolution
+        grid = self.mesh(self.lo, self.hi)
+        self.x = grid[problem.feasible_batch(grid)]
+        self.f = problem.evaluate_batch(self.x)
+        self.clamped = 0
+        self.partly_feasible = 0
+
+    def mesh(self, lo, hi):
+        axes = [np.linspace(l, h, self.resolution) for l, h in zip(lo, hi)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
+
+    def solve(self, query):
+        p = np.asarray(query.p)
+        q = np.asarray(query.q)
+        alphas = ((self.f - p) / q).max(axis=1)
+        i = int(alphas.argmin())
+        best_alpha = float(alphas[i])
+        best_x = self.x[i]
+        best_f = self.f[i]
+        lo = np.maximum(self.lo, best_x - self.cell)
+        hi = np.minimum(self.hi, best_x + self.cell)
+        self.clamped += bool((lo == self.lo).any() or (hi == self.hi).any())
+        refined = self.mesh(lo, hi)
+        feas = self.problem.feasible_batch(refined)
+        self.partly_feasible += bool(feas.any() and not feas.all())
+        if feas.any():
+            xr = refined[feas]
+            fr = self.problem.evaluate_batch(xr)
+            ar = ((fr - p) / q).max(axis=1)
+            j = int(ar.argmin())
+            if float(ar[j]) < best_alpha:
+                best_alpha = float(ar[j])
+                best_x = xr[j]
+                best_f = fr[j]
+        z = tuple(float(v) for v in best_f)
+        s = tuple(pi + best_alpha * qi for pi, qi in zip(query.p, query.q))
+        lam = tuple(max(si - zi, 0.0) for si, zi in zip(s, z))
+        return PSSolution(query.query_id, best_alpha, z, lam, tuple(float(v) for v in best_x))
+
+
+def _seeded_queries(problem, n, seed):
+    """Random sub-boxes of the start box, queried from their upper corners.
+
+    Every fifth query has one direction component shrunk a thousandfold, so
+    that objective alone decides the minimax and the incumbent is pushed to
+    an extreme of the front, which often lies on the decision box's edge.
+    """
+    rng = np.random.default_rng(seed)
+    ideal = np.asarray(problem.ideal)
+    nadir = np.asarray(problem.nadir)
+    queries = []
+    for k in range(n):
+        upper = ideal + (nadir - ideal) * rng.uniform(0.05, 1.0, problem.m)
+        lower = ideal + (upper - ideal) * rng.uniform(0.0, 0.9, problem.m)
+        direction = upper - lower
+        if k % 5 == 0:
+            direction[rng.integers(problem.m)] *= 1e-3
+        queries.append(PSQuery(k, tuple(upper), tuple(direction)))
+    return queries
+
+
+class TestGridSolverBitIdentity:
+    """The column-major, buffered solve must match the row-major one exactly."""
+
+    RESOLUTION = 48
+
+    @pytest.mark.parametrize("name", ["patched", "comet", "nonconvex"])
+    def test_matches_row_major_reference(self, name):
+        problem = make_problem(name)
+        solver = GridScalarizer(problem, self.RESOLUTION)
+        reference = _RowMajorReference(problem, self.RESOLUTION)
+        for query in _seeded_queries(problem, 50, seed=17):
+            assert solver.solve(query) == reference.solve(query), query
+        # Both delicate paths were exercised, not just the interior case.
+        assert reference.clamped > 0
+        if name == "nonconvex":
+            assert reference.partly_feasible > 0
+
+    def test_buffer_reuse_leaks_nothing(self):
+        # A, B, A: solving B overwrites the scratch buffers with its own
+        # values; the second A must still match the first and the oracle.
+        problem = make_problem("nonconvex")
+        solver = GridScalarizer(problem, self.RESOLUTION)
+        reference = _RowMajorReference(problem, self.RESOLUTION)
+        a, b = _seeded_queries(problem, 2, seed=5)
+        first = solver.solve(a)
+        middle = solver.solve(b)
+        again = solver.solve(a)
+        assert first == again == reference.solve(a)
+        assert middle == reference.solve(b)
 
 
 class TestWireProtocol:
@@ -202,6 +307,16 @@ class TestWireProtocol:
             decode_solution("{not json", expected_id=0, dim=2)
         with pytest.raises(ProtocolError):
             decode_solution('[1, 2, 3]', expected_id=0, dim=2)
+
+    @pytest.mark.parametrize("field, text", [
+        ("alpha", '"alpha": NaN, "z": [0.1, 0.2], "lambda": [0, 0]'),
+        ("z", '"alpha": -0.5, "z": [Infinity, 0.2], "lambda": [0, 0]'),
+        ("lambda", '"alpha": -0.5, "z": [0.1, 0.2], "lambda": [0, -Infinity]'),
+        ("x", '"alpha": -0.5, "z": [0.1, 0.2], "lambda": [0, 0], "x": [NaN]'),
+    ])
+    def test_non_finite_numbers_rejected(self, field, text):
+        with pytest.raises(ProtocolError, match=field):
+            decode_solution('{"query_id": 0, ' + text + "}", expected_id=0, dim=2)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ProtocolError):
