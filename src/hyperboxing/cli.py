@@ -22,15 +22,12 @@ from .problems import PROBLEM_NAMES, make_problem
 from .scalarization import (
     ContractError,
     ProtocolError,
+    _fmt,
     decode_solution,
     encode_done,
     encode_query,
 )
 from .search_region import Strategy
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def write_points_csv(path: str, points, m: int) -> None:

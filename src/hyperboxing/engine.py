@@ -11,7 +11,7 @@ Two entry points:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -295,15 +295,7 @@ class ComparisonReport:
 
 def compare_strategies(config: RunConfig) -> ComparisonReport:
     """Run both strategies on identical inputs and compare."""
-    naive_cfg = RunConfig(
-        config.problem, config.epsilon, config.mode, Strategy.NAIVE,
-        config.max_iterations, config.grid_resolution,
-    )
-    improved_cfg = RunConfig(
-        config.problem, config.epsilon, config.mode, Strategy.IMPROVED,
-        config.max_iterations, config.grid_resolution,
-    )
-    naive = run_representation(naive_cfg)
-    improved = run_representation(improved_cfg)
+    naive = run_representation(replace(config, strategy=Strategy.NAIVE))
+    improved = run_representation(replace(config, strategy=Strategy.IMPROVED))
     identical = naive.points == improved.points
     return ComparisonReport(naive, improved, identical)

@@ -21,16 +21,6 @@ class SizeMode(str, Enum):
     RELATIVE = "relative"
 
 
-def as_point(values) -> Point:
-    """Coerce to a point tuple, requiring at least two finite components."""
-    pt = tuple(float(v) for v in values)
-    if len(pt) < 2:
-        raise ValueError(f"objective points need dimension >= 2, got {len(pt)}")
-    if not all(math.isfinite(v) for v in pt):
-        raise ValueError(f"objective point has non-finite entries: {pt}")
-    return pt
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-parallel box [lower, upper] with strictly positive edge lengths.

@@ -251,7 +251,8 @@ def decode_query(line: str) -> PSQuery | None:
     if record.get("done"):
         return None
     try:
-        return PSQuery(int(record["query_id"]), _as_floats(record["p"]), _as_floats(record["q"]))
+        return PSQuery(_as_id(record["query_id"]), _as_floats(record["p"], "p"),
+                       _as_floats(record["q"], "q"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad query record: {exc}") from exc
 
@@ -260,15 +261,13 @@ def decode_solution(line: str, expected_id: int | None = None, dim: int | None =
     """Parse and validate a solver response line."""
     record = _load_record(line)
     try:
-        query_id = int(record["query_id"])
-        alpha = float(record["alpha"])
-        z = _as_floats(record["z"])
-        lam = _as_floats(record["lambda"])
+        query_id = _as_id(record["query_id"])
+        alpha = _as_float(record["alpha"], "alpha")
+        z = _as_floats(record["z"], "z")
+        lam = _as_floats(record["lambda"], "lambda")
+        decision = _as_floats(record["x"], "x") if "x" in record else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad solution record: {exc}") from exc
-    decision = None
-    if "x" in record:
-        decision = _as_floats(record["x"])
     for name, values in (("alpha", (alpha,)), ("z", z), ("lambda", lam), ("x", decision or ())):
         if not all(math.isfinite(v) for v in values):
             raise ProtocolError(f"non-finite {name} in solution record: {list(values)}")
@@ -292,7 +291,23 @@ def _load_record(line: str) -> dict:
     return record
 
 
-def _as_floats(values) -> Point:
+def _as_id(value) -> int:
+    """A JSON integer; an integral float such as 3.0 is accepted too."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ProtocolError(f"query_id must be an integer, got {value!r}")
+
+
+def _as_float(value, name: str) -> float:
+    # JSON numbers only: no booleans (an int subclass) and no numeric strings.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_floats(values, name: str) -> Point:
     if not isinstance(values, (list, tuple)):
-        raise ProtocolError("expected an array of numbers")
-    return tuple(float(v) for v in values)
+        raise ProtocolError(f"{name} must be an array of numbers, got {values!r}")
+    return tuple(_as_float(v, name) for v in values)

@@ -45,6 +45,10 @@ UPPER = "upper"
 #: Acts as -inf (upper bounds) / +inf (lower bounds) in criterion extrema.
 VIRTUAL = ()
 
+#: Elements per block of the L x U scan: its two float64 buffers take 512 KiB
+#: each, which fits a 2 MiB L2 cache.
+SCAN_BLOCK = 65_536
+
 
 class Bound:
     """A local bound with the representation points defining its components.
@@ -189,6 +193,7 @@ class SearchRegion:
             self.opp_upper: dict[int, set[int]] = {l0.id: set()}
             self.opp_lower: dict[int, set[int]] = {u0.id: set()}
             self._heap: list = []
+            self._live_pairs = 0
             size, _ = box_measures(l0.coords, u0.coords, self.scale)
             if size > self.epsilon:
                 self._add_pair(l0, u0)
@@ -236,6 +241,7 @@ class SearchRegion:
             self._split_improved(LOWER, s)
             if not lower_only:
                 self._split_improved(UPPER, z)
+            self._compact_heap()
         else:
             self._split_naive(LOWER, s)
             if not lower_only:
@@ -249,6 +255,19 @@ class SearchRegion:
         size, volume = box_measures(l.coords, u.coords, self.scale)
         neg_corners = tuple(-c for c in l.coords + u.coords)
         heapq.heappush(self._heap, (-size, -volume, neg_corners, l.id, u.id))
+        self._live_pairs += 1
+
+    def _compact_heap(self) -> None:
+        """Rebuild the heap from its live entries once stale ones outnumber them.
+
+        Heap keys are unique, since they end in (l_id, u_id), so the pop order
+        does not change.
+        """
+        if len(self._heap) <= 2 * self._live_pairs:
+            return
+        opp = self.opp_upper
+        self._heap = [e for e in self._heap if e[4] in opp.get(e[3], ())]
+        heapq.heapify(self._heap)
 
     def _join_defining(self, kind: str, pt: Point) -> None:
         """Add pt to the defining sets it extends on unaffected bounds.
@@ -306,6 +325,7 @@ class SearchRegion:
                     children.append(self._new_bound(kind, coords, tuple(defining)))
             self._remove_bound(parent)
             partners = sorted(own_opp.pop(bid))
+            self._live_pairs -= len(partners)
             for child in children:
                 own_opp[child.id] = set()
             for pid in partners:
@@ -390,11 +410,10 @@ class SearchRegion:
 
     def evict_pair(self, l_id: int, u_id: int) -> None:
         """Permanently drop one box from consideration (stall handling)."""
-        if self.strategy == Strategy.IMPROVED:
-            if l_id in self.opp_upper:
-                self.opp_upper[l_id].discard(u_id)
-            if u_id in self.opp_lower:
-                self.opp_lower[u_id].discard(l_id)
+        if self.strategy == Strategy.IMPROVED and u_id in self.opp_upper.get(l_id, ()):
+            self.opp_upper[l_id].discard(u_id)
+            self.opp_lower[u_id].discard(l_id)
+            self._live_pairs -= 1
         self._evicted.add((l_id, u_id))
 
     def largest_box(self):
@@ -415,34 +434,50 @@ class SearchRegion:
         return self._largest_box_scan(self.epsilon)
 
     def _largest_box_scan(self, threshold: float):
-        """Nested scan over L x U used by the naive strategy."""
+        """Cache-blocked scan over L x U (naive selection and the final report).
+
+        Walks L in blocks of rows whose size matrix holds about SCAN_BLOCK
+        elements, folding into two buffers allocated once per scan, and keeps
+        each block's maximum.  Blocks holding the overall maximum are scanned
+        again to collect the tied pairs, which ``selection_key`` then orders.
+        """
         l_coords, l_ids = self._stores[LOWER].live_view()
         u_coords, u_ids = self._stores[UPPER].live_view()
-        if len(l_coords) == 0 or len(u_coords) == 0:
+        n_l, n_u = len(l_coords), len(u_coords)
+        if n_l == 0 or n_u == 0:
             return None
-        scaled_u = u_coords / self._scale_arr
         scaled_l = l_coords / self._scale_arr
+        scaled_ut = np.ascontiguousarray((u_coords / self._scale_arr).T)
         evicted = self._active_evictions(l_ids, u_ids)
+        rows = max(1, SCAN_BLOCK // n_u)
+        buffers = np.empty((2, min(rows, n_l), n_u))
+        starts = range(0, n_l, rows)
 
-        chunk = max(1, int(4e6 // max(1, len(u_coords))))
-        best = -math.inf
-        chunk_max = []
-        for i in range(0, len(scaled_l), chunk):
-            sizes = self._chunk_sizes(scaled_l, scaled_u, i, chunk, evicted)
-            top = sizes.max()
-            chunk_max.append(top)
-            if top > best:
-                best = top
+        def block_sizes(start):
+            """min_j (u_j - l_j) for L rows [start, start + rows) against all of U."""
+            block = scaled_l[start : start + rows]
+            sizes, edge = buffers[:, : len(block)]
+            np.subtract(scaled_ut[0], block[:, 0, None], out=sizes)
+            for d in range(1, self.m):
+                np.subtract(scaled_ut[d], block[:, d, None], out=edge)
+                np.minimum(sizes, edge, out=sizes)
+            for li, uj in evicted:
+                if start <= li < start + len(block):
+                    sizes[li - start, uj] = -math.inf
+            return sizes
+
+        block_max = [block_sizes(start).max() for start in starts]
+        best = max(block_max)
         if best <= threshold:
             return None
 
         candidates = []
-        for idx, i in enumerate(range(0, len(scaled_l), chunk)):
-            if chunk_max[idx] != best:
+        for start, top in zip(starts, block_max):
+            if top != best:
                 continue
-            sizes = self._chunk_sizes(scaled_l, scaled_u, i, chunk, evicted)
+            sizes = block_sizes(start)
             for li, uj in zip(*np.nonzero(sizes == best)):
-                candidates.append((int(li) + i, int(uj)))
+                candidates.append((int(li) + start, int(uj)))
         best_key = None
         best_pair = None
         for li, uj in candidates:
@@ -468,17 +503,6 @@ class SearchRegion:
             elif l_id not in self.bounds or u_id not in self.bounds:
                 self._evicted.discard((l_id, u_id))
         return active
-
-    @staticmethod
-    def _chunk_sizes(scaled_l, scaled_u, start, chunk, evicted):
-        block = scaled_l[start : start + chunk]
-        sizes = scaled_u[None, :, 0] - block[:, None, 0]
-        for d in range(1, scaled_l.shape[1]):
-            np.minimum(sizes, scaled_u[None, :, d] - block[:, None, d], out=sizes)
-        for li, uj in evicted:
-            if start <= li < start + len(block):
-                sizes[li - start, uj] = -math.inf
-        return sizes
 
     def max_box_size_full_scan(self) -> float:
         """Largest remaining non-evicted box size by brute force (any strategy)."""

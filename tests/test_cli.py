@@ -169,6 +169,18 @@ class TestServeCommand:
         assert err.startswith("error: line 1: ") and "non-finite alpha" in err
         assert "Traceback" not in err
 
+    def test_boolean_and_string_answer_exits_1(self, tmp_path):
+        answer = lambda q: ('{"query_id": 0.9, "alpha": true, '
+                            '"z": ["-0.5", false], "lambda": [0, 0]}')
+        proc, _, transcript = self.serve(
+            tmp_path, {"l0": [-1.0, -1.0], "u0": [0.0, 0.0]}, answer=answer
+        )
+        assert proc.returncode == 1
+        assert len(transcript) == 1
+        err = proc.stderr.read()
+        assert err.startswith("error: line 1: ") and "query_id must be an integer" in err
+        assert "Traceback" not in err
+
     def test_iteration_cap_exits_1_after_writing_outputs(self, tmp_path):
         answer = lambda q: encode_solution(solve_quadric_ps(q, (1.0, 1.0, 1.0)))
         report_path = tmp_path / "report.json"

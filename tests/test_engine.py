@@ -215,6 +215,24 @@ class TestSession:
         report = run_representation(sphere_config(m=2, epsilon=0.2))
         assert [e.z for e in session.entries] == report.points
 
+    def test_heap_compacted_when_stale_entries_outnumber_live_pairs(self):
+        # Without compaction this run ends an iteration with 89 entries
+        # beyond twice its live pairs; the peak heap is 972 against 468 pairs.
+        problem = make_problem("sphere", 5)
+        session = Session(start_box_for(problem), 0.3)
+        region = session.region
+
+        def check():
+            live = sum(map(len, region.opp_upper.values()))
+            assert region._live_pairs == live
+            assert len(region._heap) <= 2 * live + 64
+
+        while (query := session.next_query()) is not None:
+            check()
+            session.submit(solve_quadric_ps(query, (1.0,) * 5))
+            check()
+        assert session.iterations == 51
+
 
 class TestCompareStrategies:
     def test_identical_sequences_on_sphere(self):

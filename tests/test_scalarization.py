@@ -318,6 +318,26 @@ class TestWireProtocol:
         with pytest.raises(ProtocolError, match=field):
             decode_solution('{"query_id": 0, ' + text + "}", expected_id=0, dim=2)
 
+    @pytest.mark.parametrize("text, wrong", [
+        ('"query_id": 0.9, "alpha": true, "z": ["-0.5", false], "lambda": [0, 0]', "query_id"),
+        ('"query_id": true, "alpha": -0.5, "z": [0.1, 0.2], "lambda": [0, 0]', "query_id"),
+        ('"query_id": "0", "alpha": -0.5, "z": [0.1, 0.2], "lambda": [0, 0]', "query_id"),
+        ('"query_id": 0, "alpha": true, "z": [0.1, 0.2], "lambda": [0, 0]', "alpha"),
+        ('"query_id": 0, "alpha": "-0.5", "z": [0.1, 0.2], "lambda": [0, 0]', "alpha"),
+        ('"query_id": 0, "alpha": -0.5, "z": ["0.1", 0.2], "lambda": [0, 0]', "z"),
+        ('"query_id": 0, "alpha": -0.5, "z": [0.1, 0.2], "lambda": [false, 0]', "lambda"),
+        ('"query_id": 0, "alpha": -0.5, "z": [0.1, 0.2], "lambda": [0, 0], "x": [null]', "x"),
+    ])
+    def test_non_number_types_rejected(self, text, wrong):
+        with pytest.raises(ProtocolError, match=wrong):
+            decode_solution("{" + text + "}", expected_id=0, dim=2)
+
+    def test_json_integers_accepted(self):
+        line = '{"query_id": 2.0, "alpha": -1, "z": [0, -1], "lambda": [0, 0]}'
+        sol = decode_solution(line, expected_id=2, dim=2)
+        assert (sol.query_id, sol.alpha, sol.z, sol.lam) == (2, -1.0, (0.0, -1.0), (0.0, 0.0))
+        assert type(sol.query_id) is int and type(sol.alpha) is float
+
     def test_missing_field_rejected(self):
         with pytest.raises(ProtocolError):
             decode_solution('{"query_id": 0, "alpha": -0.5, "z": [0.1, 0.2]}')

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hyperboxing.geometry import Box, SizeMode
+from hyperboxing import search_region
+from hyperboxing.geometry import Box, SizeMode, box_measures, selection_key
 from hyperboxing.search_region import (
     LOWER,
     UPPER,
@@ -341,6 +342,59 @@ class TestLargestBox:
         _, l_id, u_id = reg.largest_box()
         reg.evict_pair(l_id, u_id)
         assert reg.largest_box() is None
+
+
+class TestBlockedScan:
+    """The blocked L x U scan against a pure-Python loop over every pair."""
+
+    @staticmethod
+    def _reference(region):
+        """(size, l, u) of the largest non-evicted pair; ties go to selection_key."""
+        best = None
+        for l in region.lower_bounds():
+            for u in region.upper_bounds():
+                if (l.id, u.id) in region._evicted:
+                    continue
+                # Scaled corners are subtracted, as in the scan; in relative
+                # mode this can differ from box_measures in the last bit.
+                size = min(b / s - a / s for a, b, s in zip(l.coords, u.coords, region.scale))
+                key = (size, selection_key(l.coords, u.coords, region.scale))
+                if best is None or key > best[0]:
+                    best = (key, l, u)
+        return best[0][0], best[1], best[2]
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("mode", list(SizeMode))
+    @pytest.mark.parametrize("m, n", [(2, 40), (3, 20), (4, 10), (5, 7), (6, 6)])
+    def test_matches_brute_force_with_evictions(self, monkeypatch, m, n, mode, rows):
+        rng = np.random.default_rng(10 * m + rows)
+        scale = np.array([0.7, 1.3, 3.1, 0.9, 2.2, 1.7][:m])
+        box = Box(tuple(-scale), (0.0,) * m, tuple(scale))
+        region = _region(box, eps=0.05, strategy=Strategy.NAIVE, mode=mode)
+        directions = np.abs(rng.normal(size=(n, m)))
+        for d in directions / np.linalg.norm(directions, axis=1, keepdims=True):
+            z = tuple(-scale * d)
+            region.apply_point(z, z)
+        n_u = len(region.upper_bounds())
+        # rows == 1 comes from a block smaller than one row of U.
+        block = n_u // 2 if rows == 1 else rows * n_u + n_u - 1
+        monkeypatch.setattr(search_region, "SCAN_BLOCK", block)
+        l_order = [int(b) for b in region._stores[LOWER].live_view()[1]]
+        assert len(l_order) > 2 * rows  # at least three blocks
+
+        evicted_blocks = set()
+        for _ in range(12):
+            size, l, u = self._reference(region)
+            expected = box_measures(l.coords, u.coords, region.scale)[0]
+            assert region.max_box_size_full_scan() == expected
+            if size > region.epsilon:
+                assert region.largest_box() == (Box(l.coords, u.coords, box.scale), l.id, u.id)
+            else:
+                assert region.largest_box() is None
+            # Evicting the winner makes the next round find the runner-up.
+            evicted_blocks.add(l_order.index(l.id) // rows)
+            region.evict_pair(l.id, u.id)
+        assert evicted_blocks - {0}
 
 
 class TestEpsilonPruning:
