@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -54,6 +55,8 @@ def _report_dict(report: RunReport, empirical_alpha=None, sampler_slack=None) ->
         "wallTimeSolveMs": report.wall_time_solve * 1e3,
         "truncated": report.truncated,
     }
+    if report.problem is None:  # a served session knows no problem name
+        del out["problem"]
     if empirical_alpha is not None:
         out["empiricalAlpha"] = empirical_alpha
         out["samplerSlack"] = sampler_slack
@@ -172,42 +175,39 @@ def cmd_serve(args) -> int:
     )
     stdin, stdout = sys.stdin, sys.stdout
     line_no = 0
+    started = time.perf_counter()
+    region_time = solve_time = 0.0
     while True:
+        t0 = time.perf_counter()
         query = session.next_query()
+        region_time += time.perf_counter() - t0
         if query is None:
             break
+        t0 = time.perf_counter()
         stdout.write(encode_query(query) + "\n")
         stdout.flush()
         line = stdin.readline()
+        solve_time += time.perf_counter() - t0
         line_no += 1
         if not line:
             print(f"error: line {line_no}: unexpected end of input", file=sys.stderr)
             return 1
         try:
             solution = decode_solution(line, expected_id=query.query_id, dim=box.dim)
+            t0 = time.perf_counter()
             session.submit(solution)
+            region_time += time.perf_counter() - t0
         except (ProtocolError, ContractError) as exc:
             print(f"error: line {line_no}: {exc}", file=sys.stderr)
             return 1
     stdout.write(encode_done() + "\n")
     stdout.flush()
-    points = [e.z for e in session.entries]
     if args.out:
-        write_points_csv(args.out, points, box.dim)
+        write_points_csv(args.out, [e.z for e in session.entries], box.dim)
     if args.report:
-        result = {
-            "epsilon": args.epsilon,
-            "mode": args.epsilon_mode,
-            "strategy": args.strategy,
-            "cardinality": len(points),
-            "iterations": session.iterations,
-            "stalledBoxes": session.stalled_boxes,
-            "skippedDominated": session.skipped_dominated,
-            "finalMaxBoxSize": session.final_max_box_size(),
-            "truncated": session.truncated,
-        }
+        report = session.report(None, started, region_time, solve_time)
         with open(args.report, "w") as fh:
-            json.dump(result, fh, indent=2)
+            json.dump(_report_dict(report), fh, indent=2)
             fh.write("\n")
     if session.truncated:
         print("warning: iteration cap reached, representation is partial", file=sys.stderr)

@@ -71,7 +71,7 @@ class RepresentationEntry:
 
 @dataclass
 class RunReport:
-    problem: str
+    problem: str | None  # None for a session served to an external solver
     m: int
     epsilon: float
     mode: SizeMode
@@ -209,6 +209,33 @@ class Session:
     def final_max_box_size(self) -> float:
         return self.region.max_box_size_full_scan()
 
+    def report(
+        self, problem: str | None, started: float, region_time: float, solve_time: float
+    ) -> RunReport:
+        """The run's report, after the final L x U scan.
+
+        ``started`` is the ``time.perf_counter()`` reading at the start of the
+        run; the total wall time runs from it to the end of the scan.
+        """
+        final_max_box_size = self.final_max_box_size()
+        return RunReport(
+            problem=problem,
+            m=self.region.m,
+            epsilon=self.epsilon,
+            mode=self.mode,
+            strategy=self.region.strategy,
+            entries=self.entries,
+            iterations=self.iterations,
+            stalled_boxes=self.stalled_boxes,
+            skipped_dominated=self.skipped_dominated,
+            final_max_box_size=final_max_box_size,
+            selected_sizes=self.selected_sizes,
+            wall_time_total=time.perf_counter() - started,
+            wall_time_region=region_time,
+            wall_time_solve=solve_time,
+            truncated=self.truncated,
+        )
+
 
 def start_box_for(problem: ProblemSpec) -> Box:
     """Start box spanned by the problem's ideal and nadir points."""
@@ -259,23 +286,7 @@ def run_representation(config: RunConfig) -> RunReport:
         session.submit(solution)
         region_time += time.perf_counter() - t0
 
-    return RunReport(
-        problem=problem.name,
-        m=problem.m,
-        epsilon=config.epsilon,
-        mode=config.mode,
-        strategy=config.strategy,
-        entries=session.entries,
-        iterations=session.iterations,
-        stalled_boxes=session.stalled_boxes,
-        skipped_dominated=session.skipped_dominated,
-        final_max_box_size=session.final_max_box_size(),
-        selected_sizes=session.selected_sizes,
-        wall_time_total=time.perf_counter() - t_start,
-        wall_time_region=region_time,
-        wall_time_solve=solve_time,
-        truncated=session.truncated,
-    )
+    return session.report(problem.name, t_start, region_time, solve_time)
 
 
 @dataclass

@@ -79,12 +79,8 @@ def nondominated_mask(points: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _dedupe(points: np.ndarray) -> np.ndarray:
-    return np.unique(points, axis=0)
-
-
 def _filter_front(images: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    images = _dedupe(images)
+    images = np.unique(images, axis=0)
     images = images[nondominated_mask(images)]
     if len(images) > n:
         idx = rng.choice(len(images), size=n, replace=False)

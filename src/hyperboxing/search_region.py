@@ -10,15 +10,19 @@ U (local upper bounds) of the not-yet-excluded search region:
   opposing bounds so the largest remaining box is available cheaply.  Pairs
   whose box is already at or below the pruning threshold are never stored.
 
-Both strategies produce identical bound sets for identical inputs; the
-improved one just gets there faster.
+Both keep each kind of bound in one column-major array store and split all
+bounds affected by a new point in a few array operations.  Both strategies
+produce identical bound sets for identical inputs; the improved one just gets
+there faster.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -49,13 +53,23 @@ VIRTUAL = ()
 #: each, which fits a 2 MiB L2 cache.
 SCAN_BLOCK = 65_536
 
+#: A store drops its dead rows once they outnumber the live ones and it holds
+#: more than this many rows.
+COMPACT_MIN_ROWS = 512
+
+#: Opposing set shared by every bound created without a partner.  Pairs only
+#: form between a new child and its parent's partners, so such a bound never
+#: gains one, and the set is never written.
+NO_PARTNERS: frozenset[int] = frozenset()
+
 
 class Bound:
     """A local bound with the representation points defining its components.
 
     ``defining[j]`` is the tuple of points that pin component j of the bound;
     several points share a component whenever they have equal coordinate
-    values there, so each entry is a set, not a single point.
+    values there, so each entry is a set, not a single point.  The region
+    keeps its bounds in arrays and builds these objects only as views.
     """
 
     __slots__ = ("id", "kind", "coords", "defining")
@@ -75,7 +89,7 @@ def child_criterion_upper(u: Bound, z: Point, k: int) -> bool:
 
     True iff z_k exceeds, for every other component j, the smallest k-th
     coordinate among the points defining component j (virtual entries never
-    constrain).
+    constrain).  Scalar reference for the array kernel in ``_split_improved``.
     """
     best = -math.inf
     for j, group in enumerate(u.defining):
@@ -100,65 +114,143 @@ def child_criterion_lower(l: Bound, s: Point, k: int) -> bool:
 
 
 class _Store:
-    """Append-only coordinate matrix with tombstones for one bound kind."""
+    """The bounds of one kind as column-major arrays with tombstones.
 
-    def __init__(self, m: int, capacity: int = 256):
+    ``coords[j, r]`` is component j of the bound in row r.  Rows are appended
+    in id order and compaction keeps that order, so ``ids[:n]`` is sorted and
+    a row is found by binary search.  ``defining[r, j]`` holds the points
+    defining component j of row r as indices into ``points``, the table of
+    distinct points applied to this kind.  -1 marks an empty slot; a group of
+    empty slots is virtual.  The slot count G starts at 1 and grows when a tie
+    finds every slot of a group taken.
+    """
+
+    def __init__(self, kind: str, m: int, capacity: int = 256):
+        self.kind = kind
         self.m = m
-        self.coords = np.zeros((capacity, m))
+        # beyond(a, b): a > b for upper bounds, a < b for lower bounds.
+        self.beyond = np.greater if kind == UPPER else np.less
+        self.coords = np.zeros((m, capacity))
         self.ids = np.zeros(capacity, dtype=np.int64)
         self.alive = np.zeros(capacity, dtype=bool)
+        self.defining = np.full((capacity, m, 1), -1, dtype=np.int32)
+        self.points = np.zeros((16, m))
+        self.point_index: dict[Point, int] = {}
         self.n = 0
         self.live = 0
-        self.row_of: dict[int, int] = {}
 
-    def add(self, bid: int, coords: Point) -> None:
-        if self.n == len(self.coords):
-            self._grow()
-        row = self.n
-        self.coords[row] = coords
-        self.ids[row] = bid
-        self.alive[row] = True
-        self.row_of[bid] = row
-        self.n += 1
-        self.live += 1
+    def append(self, first_id: int, coords: np.ndarray, defining=None) -> None:
+        """Add the columns of coords (m, k) as bounds first_id, first_id + 1, ..."""
+        k = coords.shape[1]
+        if self.n + k > len(self.ids):
+            self._grow(self.n + k)
+        rows = slice(self.n, self.n + k)
+        self.coords[:, rows] = coords
+        self.ids[rows] = np.arange(first_id, first_id + k)
+        self.alive[rows] = True
+        self.defining[rows] = -1 if defining is None else defining
+        self.n += k
+        self.live += k
 
-    def remove(self, bid: int) -> None:
-        row = self.row_of.pop(bid)
-        self.alive[row] = False
-        self.live -= 1
-        if self.n > 512 and self.live * 2 < self.n:
+    def kill(self, rows: np.ndarray) -> None:
+        self.alive[rows] = False
+        self.live -= len(rows)
+        if self.n > COMPACT_MIN_ROWS and self.live * 2 < self.n:
             self._compact()
 
-    def _grow(self) -> None:
-        cap = max(256, 2 * len(self.coords))
-        self.coords = np.resize(self.coords, (cap, self.m))
-        self.ids = np.resize(self.ids, cap)
-        alive = np.zeros(cap, dtype=bool)
-        alive[: self.n] = self.alive[: self.n]
-        self.alive = alive
+    def _grow(self, need: int) -> None:
+        n = self.n
+        extra = max(need, 2 * len(self.ids)) - n
+        self.coords = np.pad(self.coords[:, :n], ((0, 0), (0, extra)))
+        self.ids = np.pad(self.ids[:n], (0, extra))
+        self.alive = np.pad(self.alive[:n], (0, extra))
+        self.defining = np.pad(self.defining[:n], ((0, extra), (0, 0), (0, 0)), constant_values=-1)
 
     def _compact(self) -> None:
-        keep = self.alive[: self.n]
-        self.coords[: self.live] = self.coords[: self.n][keep]
-        self.ids[: self.live] = self.ids[: self.n][keep]
+        keep = np.flatnonzero(self.alive[: self.n])
+        self.coords[:, : self.live] = self.coords[:, keep]
+        self.ids[: self.live] = self.ids[keep]
+        self.defining[: self.live] = self.defining[keep]
+        self.alive[: self.live] = True
+        self.alive[self.live : self.n] = False
         self.n = self.live
-        self.alive[: self.n] = True
-        self.alive[self.n :] = False
-        self.row_of = {int(b): i for i, b in enumerate(self.ids[: self.n])}
+
+    def rows_of(self, ids) -> np.ndarray:
+        return np.searchsorted(self.ids[: self.n], ids)
+
+    def contains(self, bid: int) -> bool:
+        row = int(self.rows_of(bid))
+        return row < self.n and self.ids[row] == bid and bool(self.alive[row])
+
+    def coords_of(self, bid: int) -> Point:
+        return tuple(self.coords[:, self.rows_of(bid)].tolist())
 
     def live_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """(m, |live|) coordinates and the ids of the live rows, in id order."""
         keep = self.alive[: self.n]
-        return self.coords[: self.n][keep], self.ids[: self.n][keep]
+        return np.compress(keep, self.coords[:, : self.n], axis=1), self.ids[: self.n][keep]
 
-    def affected(self, point: np.ndarray, kind: str) -> np.ndarray:
-        """Ids of live bounds strictly beyond ``point`` on their open side."""
-        coords = self.coords[: self.n]
-        if kind == UPPER:
-            mask = (coords > point).all(axis=1)
-        else:
-            mask = (coords < point).all(axis=1)
-        mask &= self.alive[: self.n]
-        return self.ids[: self.n][mask]
+    def scan(self, pt: Point):
+        """Rows strictly beyond pt in every component, and the ties of pt.
+
+        A tie is a (row, j) with row[j] == pt[j] while the row is strictly
+        beyond pt in every other component: pt then co-defines component j.
+        Works one column at a time, which costs far less than reductions over
+        the short component axis.
+        """
+        coords = self.coords[:, : self.n]
+        strict = self.alive[: self.n].copy()
+        touch = np.zeros(self.n, dtype=bool)
+        for col, v in zip(coords, pt):
+            strict &= self.beyond(col, v)
+            touch |= col == v
+        cand = np.flatnonzero(touch & self.alive[: self.n])
+        sub = coords.take(cand, axis=1)
+        p = np.asarray(pt)[:, None]
+        ties = (sub == p) & (self.beyond(sub, p).sum(axis=0) == self.m - 1)
+        cols, i = np.nonzero(ties)
+        return np.flatnonzero(strict), cand[i], cols
+
+    def point_id(self, pt: Point) -> int:
+        """Index of pt in the point table, adding it if new."""
+        idx = self.point_index.get(pt)
+        if idx is None:
+            idx = self.point_index[pt] = len(self.point_index)
+            if idx == len(self.points):
+                self.points = np.concatenate([self.points, np.zeros_like(self.points)])
+            self.points[idx] = pt
+        return idx
+
+    def join(self, rows: np.ndarray, cols: np.ndarray, idx: int) -> None:
+        """Add point idx to the defining groups (rows, cols) that lack it.
+
+        Each (row, col) occurs at most once, since a tie leaves one component.
+        """
+        groups = self.defining[rows, cols]
+        new = ~(groups == idx).any(axis=1)
+        rows, cols, groups = rows[new], cols[new], groups[new]
+        free = groups < 0
+        if not free.any(axis=1).all():
+            pad = np.full(self.defining.shape[:2] + (1,), -1, dtype=np.int32)
+            self.defining = np.concatenate([self.defining, pad], axis=2)
+            free = np.concatenate([free, np.ones((len(rows), 1), dtype=bool)], axis=1)
+        self.defining[rows, cols, free.argmax(axis=1)] = idx
+
+    def bounds(self) -> list[Bound]:
+        """The live bounds as :class:`Bound` views, in id order."""
+        points = [tuple(p) for p in self.points.tolist()]
+        return [
+            Bound(
+                int(self.ids[r]),
+                self.kind,
+                tuple(self.coords[:, r].tolist()),
+                tuple(
+                    tuple(points[i] for i in group if i >= 0)
+                    for group in self.defining[r].tolist()
+                ),
+            )
+            for r in np.flatnonzero(self.alive[: self.n])
+        ]
 
 
 class SearchRegion:
@@ -182,46 +274,49 @@ class SearchRegion:
         self.scale = effective_scale(start_box.scale, self.mode)
         self._scale_arr = np.asarray(self.scale)
         self._next_id = 0
-        self.bounds: dict[int, Bound] = {}
-        self._stores = {LOWER: _Store(self.m), UPPER: _Store(self.m)}
+        self._stores = {LOWER: _Store(LOWER, self.m), UPPER: _Store(UPPER, self.m)}
         self._evicted: set[tuple[int, int]] = set()
 
-        virtual = (VIRTUAL,) * self.m
-        l0 = self._new_bound(LOWER, start_box.lower, virtual)
-        u0 = self._new_bound(UPPER, start_box.upper, virtual)
+        lower = np.array(start_box.lower, dtype=float)[:, None]
+        upper = np.array(start_box.upper, dtype=float)[:, None]
+        (l0,) = self._append(LOWER, lower)
+        (u0,) = self._append(UPPER, upper)
         if self.strategy == Strategy.IMPROVED:
-            self.opp_upper: dict[int, set[int]] = {l0.id: set()}
-            self.opp_lower: dict[int, set[int]] = {u0.id: set()}
+            self.opp_upper: dict[int, set[int]] = {l0: NO_PARTNERS}
+            self.opp_lower: dict[int, set[int]] = {u0: NO_PARTNERS}
             self._heap: list = []
             self._live_pairs = 0
-            size, _ = box_measures(l0.coords, u0.coords, self.scale)
-            if size > self.epsilon:
-                self._add_pair(l0, u0)
+            for l_id, u_id in zip(*self._push_pairs(lower, upper, [l0], [u0])):
+                self.opp_upper[l_id] = {u_id}
+                self.opp_lower[u_id] = {l_id}
 
     # -- bound management -------------------------------------------------
 
-    def _new_bound(self, kind: str, coords: Point, defining: tuple) -> Bound:
-        bound = Bound(self._next_id, kind, tuple(coords), defining)
-        self._next_id += 1
-        self.bounds[bound.id] = bound
-        self._stores[kind].add(bound.id, bound.coords)
-        return bound
-
-    def _remove_bound(self, bound: Bound) -> None:
-        del self.bounds[bound.id]
-        self._stores[bound.kind].remove(bound.id)
+    def _append(self, kind: str, coords: np.ndarray, defining=None) -> range:
+        """Store the columns of coords as new bounds; returns their ids."""
+        first = self._next_id
+        self._next_id += coords.shape[1]
+        self._stores[kind].append(first, coords, defining)
+        return range(first, self._next_id)
 
     def contains_bound(self, bid: int) -> bool:
-        return bid in self.bounds
+        return any(store.contains(bid) for store in self._stores.values())
+
+    @property
+    def bounds(self) -> dict[int, Bound]:
+        """Every live bound by id, as views built from the stores."""
+        views = self.lower_bounds() + self.upper_bounds()
+        return {b.id: b for b in sorted(views, key=lambda b: b.id)}
 
     def lower_bounds(self) -> list[Bound]:
-        return [b for b in self.bounds.values() if b.kind == LOWER]
+        return self._stores[LOWER].bounds()
 
     def upper_bounds(self) -> list[Bound]:
-        return [b for b in self.bounds.values() if b.kind == UPPER]
+        return self._stores[UPPER].bounds()
 
     def coordinate_set(self, kind: str) -> set[Point]:
-        return {b.coords for b in self.bounds.values() if b.kind == kind}
+        coords, _ = self._stores[kind].live_view()
+        return set(map(tuple, coords.T.tolist()))
 
     # -- updates -----------------------------------------------------------
 
@@ -249,13 +344,31 @@ class SearchRegion:
 
     # -- improved strategy --------------------------------------------------
 
-    def _add_pair(self, l: Bound, u: Bound) -> None:
-        self.opp_upper[l.id].add(u.id)
-        self.opp_lower[u.id].add(l.id)
-        size, volume = box_measures(l.coords, u.coords, self.scale)
-        neg_corners = tuple(-c for c in l.coords + u.coords)
-        heapq.heappush(self._heap, (-size, -volume, neg_corners, l.id, u.id))
-        self._live_pairs += 1
+    def _push_pairs(self, lower, upper, l_ids, u_ids) -> tuple[list[int], list[int]]:
+        """Index the candidate pairs whose box exceeds epsilon.
+
+        ``lower`` and ``upper`` are (m, P) corner columns of P candidate pairs,
+        ``l_ids`` and ``u_ids`` their ids; object arrays pass the ids' own int
+        objects through, so a pair costs no new ones.  Size and volume are
+        folded one column at a time in the order ``box_measures`` uses, so
+        the heap keys match it bit for bit.  Returns the ids of the pairs kept.
+        """
+        size = (upper[0] - lower[0]) / self.scale[0]
+        volume = size.copy()
+        for j in range(1, self.m):
+            edge = (upper[j] - lower[j]) / self.scale[j]
+            np.minimum(size, edge, out=size)
+            volume *= edge
+        keep = np.flatnonzero(size > self.epsilon)
+        l_kept = np.asarray(l_ids)[keep].tolist()
+        u_kept = np.asarray(u_ids)[keep].tolist()
+        neg_corners = zip(*(-np.concatenate([lower[:, keep], upper[:, keep]])).tolist())
+        heap = self._heap
+        for key in zip((-size[keep]).tolist(), (-volume[keep]).tolist(), neg_corners,
+                       l_kept, u_kept):
+            heapq.heappush(heap, key)
+        self._live_pairs += len(keep)
+        return l_kept, u_kept
 
     def _compact_heap(self) -> None:
         """Rebuild the heap from its live entries once stale ones outnumber them.
@@ -269,115 +382,107 @@ class SearchRegion:
         self._heap = [e for e in self._heap if e[4] in opp.get(e[3], ())]
         heapq.heapify(self._heap)
 
-    def _join_defining(self, kind: str, pt: Point) -> None:
-        """Add pt to the defining sets it extends on unaffected bounds.
+    def _split_improved(self, kind: str, pt: Point) -> None:
+        """Split every bound strictly beyond pt at once.
 
-        A point whose j-th coordinate equals that of a live bound, while being
-        strictly inside it everywhere else, co-defines component j.  Missing
-        these ties would make later child criteria reject valid children.
+        Child k of an affected parent is created iff, for every other
+        non-virtual component j, some point d defining j has pt beyond d in
+        component k; this is :func:`child_criterion_upper` (or ``_lower``)
+        written without extrema.  A child inherits the defining points that
+        pass the same test in its k and is defined by pt alone in k.
         """
         store = self._stores[kind]
-        coords, ids = store.live_view()
-        if len(coords) == 0:
+        rows, tie_rows, tie_cols = store.scan(pt)
+        idx = store.point_id(pt)
+        if len(tie_rows):
+            store.join(tie_rows, tie_cols, idx)
+        if not len(rows):
             return
-        arr = np.asarray(pt)
-        eq = coords == arr
-        strict = (coords > arr) if kind == UPPER else (coords < arr)
-        hits = eq & (strict.sum(axis=1)[:, None] == self.m - 1)
-        for row, j in zip(*np.nonzero(hits)):
-            bound = self.bounds[int(ids[row])]
-            j = int(j)
-            group = bound.defining[j]
-            if pt not in group:
-                bound.defining = (
-                    bound.defining[:j] + (group + (pt,),) + bound.defining[j + 1 :]
-                )
 
-    def _split_improved(self, kind: str, pt: Point) -> None:
-        m = self.m
-        eps = self.epsilon
-        store = self._stores[kind]
-        self._join_defining(kind, pt)
-        affected = sorted(int(b) for b in store.affected(np.asarray(pt), kind))
-        if not affected:
-            return
+        parents = store.defining[rows]  # (na, m, G)
+        filled = parents >= 0
+        # passed[a, j, g, k]: slot g of group j of parent a holds a point that
+        # pt is beyond in component k.
+        passed = store.beyond(np.asarray(pt), store.points[parents]) & filled[..., None]
+        met = passed.any(axis=2) | ~filled.any(axis=2)[..., None]  # (na, j, k)
+        diagonal = np.arange(self.m)
+        met[:, diagonal, diagonal] = True
+        pa, ks = np.nonzero(met.all(axis=1))  # children in (parent, k) order
+        new = np.arange(len(pa))
+
+        child_cols = store.coords.take(rows[pa], axis=1)
+        child_cols[ks, new] = np.asarray(pt)[ks]
+        child_defining = np.where(passed[pa, :, :, ks], parents[pa], -1)
+        child_defining[new, ks] = -1
+        child_defining[new, ks, 0] = idx
+        parent_ids = store.ids[rows].tolist()
+        # One int object per new id, shared by the index maps and the heap.
+        child_ids = list(self._append(kind, child_cols, child_defining))
+        store.kill(rows)
+
         if kind == LOWER:
-            own_opp, other_opp = self.opp_upper, self.opp_lower
-            criterion = child_criterion_lower
+            own_opp, other_opp, other = self.opp_upper, self.opp_lower, self._stores[UPPER]
         else:
-            own_opp, other_opp = self.opp_lower, self.opp_upper
-            criterion = child_criterion_upper
-
-        for bid in affected:
-            parent = self.bounds[bid]
-            children = []
-            for k in range(m):
-                if criterion(parent, pt, k):
-                    coords = parent.coords[:k] + (pt[k],) + parent.coords[k + 1 :]
-                    defining = []
-                    for j, group in enumerate(parent.defining):
-                        if j == k:
-                            defining.append((pt,))
-                        elif kind == UPPER:
-                            defining.append(tuple(d for d in group if d[k] < pt[k]))
-                        else:
-                            defining.append(tuple(d for d in group if d[k] > pt[k]))
-                    children.append(self._new_bound(kind, coords, tuple(defining)))
-            self._remove_bound(parent)
-            partners = sorted(own_opp.pop(bid))
-            self._live_pairs -= len(partners)
-            for child in children:
-                own_opp[child.id] = set()
-            for pid in partners:
+            own_opp, other_opp, other = self.opp_lower, self.opp_upper, self._stores[LOWER]
+        partners = [own_opp.pop(bid) for bid in parent_ids]
+        own_opp.update(dict.fromkeys(child_ids, NO_PARTNERS))
+        for bid, group in zip(parent_ids, partners):
+            for pid in group:
                 other_opp[pid].discard(bid)
-            if not partners or not children:
-                continue
-            pcoords = np.array([self.bounds[p].coords for p in partners])
-            for child in children:
-                carr = np.asarray(child.coords)
-                if kind == LOWER:
-                    ok = (pcoords > carr).all(axis=1)
-                    sizes = ((pcoords - carr) / self._scale_arr).min(axis=1)
-                else:
-                    ok = (pcoords < carr).all(axis=1)
-                    sizes = ((carr - pcoords) / self._scale_arr).min(axis=1)
-                ok &= sizes > eps
-                for j in np.flatnonzero(ok):
-                    partner = self.bounds[partners[j]]
-                    if kind == LOWER:
-                        self._add_pair(child, partner)
-                    else:
-                        self._add_pair(partner, child)
+        n_partners = np.fromiter(map(len, partners), dtype=np.int64, count=len(partners))
+        self._live_pairs -= int(n_partners.sum())
+
+        # Candidate pairs: each parent's children against each of its
+        # partners, parent by parent; rank is a pair's place in that block.
+        n_children = np.bincount(pa, minlength=len(rows))
+        per_parent = n_children * n_partners
+        if not per_parent.any():
+            return
+        pair_parent = np.repeat(np.arange(len(rows)), per_parent)
+        rank = np.arange(len(pair_parent)) - (np.cumsum(per_parent) - per_parent)[pair_parent]
+        width = n_partners[pair_parent]
+        child = (np.cumsum(n_children) - n_children)[pair_parent] + rank // width
+        partner = (np.cumsum(n_partners) - n_partners)[pair_parent] + rank % width
+        all_partners = list(chain.from_iterable(partners))
+        partner_rows = other.rows_of(np.array(all_partners, dtype=np.int64))[partner]
+        partner_cols = other.coords.take(partner_rows, axis=1)
+        partner_ids = np.array(all_partners, dtype=object)[partner]
+        pair_cols = child_cols.take(child, axis=1)
+        new_ids = np.array(child_ids, dtype=object)[child]
+        if kind == LOWER:
+            mine, theirs = self._push_pairs(pair_cols, partner_cols, new_ids, partner_ids)
+        else:
+            theirs, mine = self._push_pairs(partner_cols, pair_cols, partner_ids, new_ids)
+        fresh = defaultdict(set)
+        for c, p in zip(mine, theirs):
+            fresh[c].add(p)
+            other_opp[p].add(c)
+        own_opp.update(fresh)
 
     # -- naive strategy ------------------------------------------------------
 
     def _split_naive(self, kind: str, pt: Point) -> None:
         m = self.m
         store = self._stores[kind]
-        pt_arr = np.asarray(pt)
-        affected = np.sort(store.affected(pt_arr, kind))
-        if len(affected) == 0:
+        rows, _, _ = store.scan(pt)
+        if len(rows) == 0:
             return
-        rows = [store.row_of[int(b)] for b in affected]
-        parents = store.coords[rows].copy()
-        na = len(affected)
+        parents = store.coords.take(rows, axis=1).T
+        na = len(rows)
         # All m component children of every affected parent.
         children = np.repeat(parents, m, axis=0)
         cols = np.tile(np.arange(m), na)
-        children[np.arange(na * m), cols] = pt_arr[cols]
+        children[np.arange(na * m), cols] = np.asarray(pt)[cols]
         children = np.unique(children, axis=0)
 
-        for bid in affected:
-            self._remove_bound(self.bounds[int(bid)])
-        survivors, _ = store.live_view()
+        store.kill(rows)
+        survivors = np.ascontiguousarray(store.live_view()[0].T)
 
         # Children are componentwise weakly inside their parents, so they can
         # never dominate a surviving bound; only the children need filtering.
         keep = ~self._naive_dominated(children, survivors, kind)
         keep &= ~self._naive_dominated_within(children, kind)
-        virtual = (VIRTUAL,) * m
-        for row in children[keep]:
-            self._new_bound(kind, tuple(row), virtual)
+        self._append(kind, children[keep].T)
 
     @staticmethod
     def _naive_dominated(children: np.ndarray, others: np.ndarray, kind: str) -> np.ndarray:
@@ -426,9 +531,9 @@ class SearchRegion:
                 _, _, _, l_id, u_id = self._heap[0]
                 opp = self.opp_upper.get(l_id)
                 if opp is not None and u_id in opp:
-                    l = self.bounds[l_id]
-                    u = self.bounds[u_id]
-                    return Box(l.coords, u.coords, self.start_scale), l_id, u_id
+                    lower = self._stores[LOWER].coords_of(l_id)
+                    upper = self._stores[UPPER].coords_of(u_id)
+                    return Box(lower, upper, self.start_scale), l_id, u_id
                 heapq.heappop(self._heap)
             return None
         return self._largest_box_scan(self.epsilon)
@@ -443,11 +548,12 @@ class SearchRegion:
         """
         l_coords, l_ids = self._stores[LOWER].live_view()
         u_coords, u_ids = self._stores[UPPER].live_view()
-        n_l, n_u = len(l_coords), len(u_coords)
+        n_l, n_u = len(l_ids), len(u_ids)
         if n_l == 0 or n_u == 0:
             return None
-        scaled_l = l_coords / self._scale_arr
-        scaled_ut = np.ascontiguousarray((u_coords / self._scale_arr).T)
+        scale = self._scale_arr[:, None]
+        scaled_l = l_coords / scale
+        scaled_u = u_coords / scale
         evicted = self._active_evictions(l_ids, u_ids)
         rows = max(1, SCAN_BLOCK // n_u)
         buffers = np.empty((2, min(rows, n_l), n_u))
@@ -455,14 +561,14 @@ class SearchRegion:
 
         def block_sizes(start):
             """min_j (u_j - l_j) for L rows [start, start + rows) against all of U."""
-            block = scaled_l[start : start + rows]
-            sizes, edge = buffers[:, : len(block)]
-            np.subtract(scaled_ut[0], block[:, 0, None], out=sizes)
+            block = scaled_l[:, start : start + rows]
+            sizes, edge = buffers[:, : block.shape[1]]
+            np.subtract(scaled_u[0], block[0, :, None], out=sizes)
             for d in range(1, self.m):
-                np.subtract(scaled_ut[d], block[:, d, None], out=edge)
+                np.subtract(scaled_u[d], block[d, :, None], out=edge)
                 np.minimum(sizes, edge, out=sizes)
             for li, uj in evicted:
-                if start <= li < start + len(block):
+                if start <= li < start + block.shape[1]:
                     sizes[li - start, uj] = -math.inf
             return sizes
 
@@ -481,8 +587,8 @@ class SearchRegion:
         best_key = None
         best_pair = None
         for li, uj in candidates:
-            lower = tuple(l_coords[li])
-            upper = tuple(u_coords[uj])
+            lower = tuple(l_coords[:, li])
+            upper = tuple(u_coords[:, uj])
             key = selection_key(lower, upper, self.scale)
             if best_key is None or key > best_key:
                 best_key = key
@@ -500,7 +606,7 @@ class SearchRegion:
         for l_id, u_id in list(self._evicted):
             if l_id in lpos and u_id in upos:
                 active.append((lpos[l_id], upos[u_id]))
-            elif l_id not in self.bounds or u_id not in self.bounds:
+            else:
                 self._evicted.discard((l_id, u_id))
         return active
 
@@ -516,9 +622,10 @@ class SearchRegion:
         """Assert the opposing indices match a brute-force recomputation."""
         if self.strategy != Strategy.IMPROVED:
             raise ValueError("indices exist only for the improved strategy")
+        uppers = self.upper_bounds()
         for l in self.lower_bounds():
             expected = set()
-            for u in self.upper_bounds():
+            for u in uppers:
                 if strictly_less(l.coords, u.coords):
                     size, _ = box_measures(l.coords, u.coords, self.scale)
                     if size > self.epsilon and (l.id, u.id) not in self._evicted:

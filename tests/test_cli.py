@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hyperboxing.cli import main, write_points_csv
+from hyperboxing.cli import _report_dict, main, write_points_csv
 from hyperboxing.engine import RunConfig, run_representation
 from hyperboxing.problems import make_problem
 from hyperboxing.scalarization import decode_query, encode_solution, solve_quadric_ps
@@ -135,6 +135,24 @@ class TestServeCommand:
         expected = tmp_path / "expected.csv"
         write_points_csv(str(expected), report.points, 2)
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_report_matches_in_process_run(self, tmp_path):
+        answer = lambda q: encode_solution(solve_quadric_ps(q, (1.0, 1.0)))
+        report_path = tmp_path / "report.json"
+        proc, _, _ = self.serve(
+            tmp_path, {"l0": [-1.0, -1.0], "u0": [0.0, 0.0]},
+            args=("--report", str(report_path)), answer=answer,
+        )
+        assert proc.returncode == 0
+        served = json.loads(report_path.read_text())
+        expected = _report_dict(run_representation(RunConfig(make_problem("sphere", 2), 0.3)))
+        timings = {"wallTimeMs", "wallTimeRegionMs", "wallTimeSolveMs"}
+        assert set(served) == set(expected) - {"problem"}
+        for key in set(served) - timings:
+            assert served[key] == expected[key], key
+        assert served["m"] == 2
+        assert served["iterations"] > 0 and served["truncated"] is False
+        assert 0 < served["wallTimeRegionMs"] + served["wallTimeSolveMs"] <= served["wallTimeMs"]
 
     def test_bad_start_box_exits_2(self, tmp_path):
         box_file = tmp_path / "box.json"

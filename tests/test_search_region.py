@@ -1,5 +1,7 @@
 """Bound bookkeeping: split criteria, strategy equivalence and the oracle."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -414,3 +416,126 @@ class TestEpsilonPruning:
         reg.apply_point((0.5, 0.5), (0.5, 0.5))
         assert reg.coordinate_set(UPPER) == {(0.5, 1.0), (1.0, 0.5)}
         assert reg.coordinate_set(LOWER) == {(0.5, 0.0), (0.0, 0.5)}
+
+
+class TestArrayKernel:
+    """The vectorised split against scalar references, point by point.
+
+    After every point the improved region must hold the naive region's and
+    the oracle's bound sets, brute-force opposing indices, and defining sets
+    equal to their definition: the points of that kind tied with the bound
+    in component j and strictly inside it in every other component.  The
+    children of each split parent must be those ``child_criterion_*``
+    accepts, created in (parent id, k) order.
+    """
+
+    GRID = (0.2, 0.4, 0.6, 0.8)
+    FAN = 0.4  # the tied sequences share this value in component 0
+    # Points per random sequence, kept small enough for the oracle.
+    RANDOM_LENGTH = {2: 30, 3: 20, 4: 10, 5: 7, 6: 5}
+
+    @staticmethod
+    def _inside(kind, bound, d, j):
+        beyond = operator.gt if kind == UPPER else operator.lt
+        return all(beyond(b, x) for i, (b, x) in enumerate(zip(bound.coords, d)) if i != j)
+
+    def _expected_children(self, region, kind, pt):
+        criterion = child_criterion_upper if kind == UPPER else child_criterion_lower
+        bounds = region.upper_bounds() if kind == UPPER else region.lower_bounds()
+        parents = [b for b in bounds if self._inside(kind, b, pt, None)]
+        return [
+            (kind, b.coords[:k] + (pt[k],) + b.coords[k + 1 :])
+            for b in sorted(parents, key=lambda b: b.id)
+            for k in range(region.m)
+            if criterion(b, pt, k)
+        ]
+
+    def _check_defining(self, region, applied):
+        for kind, bounds in ((LOWER, region.lower_bounds()), (UPPER, region.upper_bounds())):
+            for b in bounds:
+                for j, group in enumerate(b.defining):
+                    expected = {
+                        d for d in applied[kind]
+                        if d[j] == b.coords[j] and self._inside(kind, b, d, j)
+                    }
+                    assert len(set(group)) == len(group), (b, group)
+                    assert set(group) == expected, (b, j, group, expected)
+
+    def _sequence(self, rng, m, tied):
+        """(z, s, lower_only) triples on [0, 1]^m, and None where to compact."""
+        if not tied:
+            z = rng.uniform(0.05, 0.95, (self.RANDOM_LENGTH[m], m))
+            return [(row, row + rng.uniform(0, 0.02, m) * (i % 2), i % 5 == 4)
+                    for i, row in enumerate(z)]
+        grid = np.array(self.GRID)
+
+        def draw(first=None):
+            z = grid[rng.integers(0, len(grid), m)]
+            if first is not None:
+                z[0] = first
+            return z
+
+        # Four distinct points share component 0, so one upper bound gets a
+        # defining group of four.  The store is compacted after the second;
+        # the fillers lie right of that bound, so they split elsewhere without
+        # touching it.
+        rests = {tuple(grid[rng.integers(0, len(grid), m - 1)]) for _ in range(64)}
+        fan = [np.array((self.FAN,) + rest) for rest in sorted(rests)[:4]]
+        rng.shuffle(fan)
+        fillers = [draw(rng.choice(grid[grid > self.FAN])) for _ in range(8)]
+        tail = [draw() for _ in range(12)]
+        out = []
+        for i, z in enumerate(fan[:2] + fillers + fan[2:] + tail):
+            s = z.copy()
+            if i >= 14 and i % 3 == 0:  # lift s by one grid step in one component
+                j = rng.integers(0, m)
+                s[j] = grid[min(np.searchsorted(grid, s[j]) + 1, len(grid) - 1)]
+            out.append((z, s, i % 7 == 6))
+        out.insert(2, None)
+        return out
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+    @pytest.mark.parametrize("mode", list(SizeMode))
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_references_after_every_point(self, monkeypatch, m, mode, tied):
+        monkeypatch.setattr(search_region, "COMPACT_MIN_ROWS", 2)
+        rng = np.random.default_rng(1000 * m + 10 * tied + (mode == SizeMode.RELATIVE))
+        scale = np.array([0.7, 1.3, 3.1, 0.9, 2.2, 1.7][:m])
+        box = Box((0.0,) * m, tuple(scale), tuple(scale))
+        improved = _region(box, eps=0.04, mode=mode)
+        naive = _region(box, eps=0.04, strategy=Strategy.NAIVE, mode=mode)
+        applied = {LOWER: set(), UPPER: set()}
+        for item in self._sequence(rng, m, tied):
+            if item is None:
+                # After the second point of the fan the slots have grown once;
+                # compaction must carry them along before they grow again.
+                upper = improved._stores[UPPER]
+                assert upper.defining.shape[2] == 2
+                assert not upper.alive[: upper.n].all()
+                for store in improved._stores.values():
+                    store._compact()
+                continue
+            z, s, lower_only = item
+            z = tuple((z * scale).tolist())
+            s = tuple((s * scale).tolist())
+            before = set(improved.bounds)
+            expected = self._expected_children(improved, LOWER, s)
+            if not lower_only:
+                expected += self._expected_children(improved, UPPER, z)
+            improved.apply_point(z, s, lower_only=lower_only)
+            naive.apply_point(z, s, lower_only=lower_only)
+            applied[LOWER].add(s)
+            if not lower_only:
+                applied[UPPER].add(z)
+
+            new = [b for i, b in sorted(improved.bounds.items()) if i not in before]
+            assert [(b.kind, b.coords) for b in new] == expected
+            for kind in (LOWER, UPPER):
+                got = improved.coordinate_set(kind)
+                assert got == naive.coordinate_set(kind)
+                assert got == bounds_oracle(box, applied[kind], kind)
+            self._check_defining(improved, applied)
+            improved.check_indices()
+
+        if tied:
+            assert improved._stores[UPPER].defining.shape[2] >= 3
