@@ -207,15 +207,16 @@ class Session:
         self.iterations += 1
 
     def final_max_box_size(self) -> float:
-        return self.region.max_box_size_full_scan()
+        """Certified upper bound on every remaining box; see ``max_box_size_bound``."""
+        return self.region.max_box_size_bound()
 
     def report(
         self, problem: str | None, started: float, region_time: float, solve_time: float
     ) -> RunReport:
-        """The run's report, after the final L x U scan.
+        """The run's report, with the final box size from ``final_max_box_size``.
 
         ``started`` is the ``time.perf_counter()`` reading at the start of the
-        run; the total wall time runs from it to the end of the scan.
+        run; the total wall time runs from it to the end of the report.
         """
         final_max_box_size = self.final_max_box_size()
         return RunReport(

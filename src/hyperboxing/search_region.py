@@ -8,7 +8,9 @@ U (local upper bounds) of the not-yet-excluded search region:
 * ``improved`` stores the points defining each bound component, spawns only
   children that pass the creation criterion, and keeps per-bound indices of
   opposing bounds so the largest remaining box is available cheaply.  Pairs
-  whose box is already at or below the pruning threshold are never stored.
+  whose box is already at or below the pruning threshold are never stored;
+  the largest of them, and of the evicted pairs, is kept instead, and bounds
+  every box left in L x U without a scan of it.
 
 Both keep each kind of bound in one column-major array store and split all
 bounds affected by a new point in a few array operations.  Both strategies
@@ -286,6 +288,8 @@ class SearchRegion:
             self.opp_lower: dict[int, set[int]] = {u0: NO_PARTNERS}
             self._heap: list = []
             self._live_pairs = 0
+            # Largest size of a pair dropped at or below epsilon or evicted.
+            self._settled = 0.0
             for l_id, u_id in zip(*self._push_pairs(lower, upper, [l0], [u0])):
                 self.opp_upper[l_id] = {u_id}
                 self.opp_lower[u_id] = {l_id}
@@ -351,7 +355,8 @@ class SearchRegion:
         ``l_ids`` and ``u_ids`` their ids; object arrays pass the ids' own int
         objects through, so a pair costs no new ones.  Size and volume are
         folded one column at a time in the order ``box_measures`` uses, so
-        the heap keys match it bit for bit.  Returns the ids of the pairs kept.
+        the heap keys match it bit for bit.  Returns the ids of the pairs kept;
+        the largest size dropped goes into the running maximum.
         """
         size = (upper[0] - lower[0]) / self.scale[0]
         volume = size.copy()
@@ -359,7 +364,10 @@ class SearchRegion:
             edge = (upper[j] - lower[j]) / self.scale[j]
             np.minimum(size, edge, out=size)
             volume *= edge
-        keep = np.flatnonzero(size > self.epsilon)
+        kept = size > self.epsilon
+        if not kept.all():
+            self._settled = max(self._settled, float(size[~kept].max()))
+        keep = np.flatnonzero(kept)
         l_kept = np.asarray(l_ids)[keep].tolist()
         u_kept = np.asarray(u_ids)[keep].tolist()
         neg_corners = zip(*(-np.concatenate([lower[:, keep], upper[:, keep]])).tolist())
@@ -519,6 +527,9 @@ class SearchRegion:
             self.opp_upper[l_id].discard(u_id)
             self.opp_lower[u_id].discard(l_id)
             self._live_pairs -= 1
+            lower = self._stores[LOWER].coords_of(l_id)
+            upper = self._stores[UPPER].coords_of(u_id)
+            self._settled = max(self._settled, box_measures(lower, upper, self.scale)[0])
         self._evicted.add((l_id, u_id))
 
     def largest_box(self):
@@ -609,6 +620,24 @@ class SearchRegion:
             else:
                 self._evicted.discard((l_id, u_id))
         return active
+
+    def max_box_size_bound(self) -> float:
+        """An upper bound on the size of every box left in L x U.
+
+        The improved strategy reports the larger of the running maximum over
+        the pairs it stopped refining and the largest live pair.  Lower-bound
+        children lie above their parents and upper-bound children below, and
+        a pair forms only between a child and its parent's partners, so every
+        box in L x U lies inside a dropped, evicted or live pair's box; edge
+        lengths are monotone under rounding, so the bound is at least
+        :meth:`max_box_size_full_scan`.  The naive strategy, the reference,
+        reports that scan.
+        """
+        if self.strategy != Strategy.IMPROVED:
+            return self.max_box_size_full_scan()
+        if self.largest_box() is None:
+            return self._settled
+        return max(self._settled, -self._heap[0][0])
 
     def max_box_size_full_scan(self) -> float:
         """Largest remaining non-evicted box size by brute force (any strategy)."""

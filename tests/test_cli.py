@@ -1,5 +1,6 @@
 """Command-line interface tests: run, compare, serve and sample-front."""
 
+import io
 import json
 import math
 import subprocess
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 from hyperboxing.cli import _report_dict, main, write_points_csv
-from hyperboxing.engine import RunConfig, run_representation
+from hyperboxing.engine import RunConfig, Session, run_representation
+from hyperboxing.geometry import Box
 from hyperboxing.problems import make_problem
+from hyperboxing.search_region import SearchRegion
 from hyperboxing.scalarization import decode_query, encode_solution, solve_quadric_ps
 
 
@@ -153,6 +156,31 @@ class TestServeCommand:
         assert served["m"] == 2
         assert served["iterations"] > 0 and served["truncated"] is False
         assert 0 < served["wallTimeRegionMs"] + served["wallTimeSolveMs"] <= served["wallTimeMs"]
+
+    def test_report_scans_nothing(self, tmp_path, monkeypatch, capsys):
+        # The answers are known in advance, so serve can run in-process.
+        session = Session(Box((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)), 0.3)
+        answers = []
+        while (query := session.next_query()) is not None:
+            solution = solve_quadric_ps(query, (1.0, 1.0))
+            answers.append(encode_solution(solution) + "\n")
+            session.submit(solution)
+        box_file = tmp_path / "box.json"
+        box_file.write_text('{"l0": [-1.0, -1.0], "u0": [0.0, 0.0]}')
+        report_path = tmp_path / "report.json"
+
+        def refuse(self):
+            raise AssertionError("L x U scanned")
+
+        monkeypatch.setattr(SearchRegion, "max_box_size_full_scan", refuse)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(answers)))
+        code = run_cli("serve", "--epsilon", "0.3", "--start-box", str(box_file),
+                       "--report", str(report_path))
+        capsys.readouterr()
+        assert code == 0
+        report = json.loads(report_path.read_text())
+        assert report["cardinality"] == len(answers)
+        assert report["finalMaxBoxSize"] == session.final_max_box_size() <= 0.3
 
     def test_bad_start_box_exits_2(self, tmp_path):
         box_file = tmp_path / "box.json"

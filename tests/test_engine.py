@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperboxing import engine
 from hyperboxing.engine import (
     Ack,
     RunConfig,
@@ -14,15 +15,16 @@ from hyperboxing.engine import (
     run_representation,
     start_box_for,
 )
-from hyperboxing.geometry import Box, SizeMode
+from hyperboxing.geometry import Box, SizeMode, box_measures
 from hyperboxing.problems import make_problem, nondominated_mask
 from hyperboxing.scalarization import (
     ContractError,
+    NoIntersection,
     ProtocolError,
     PSSolution,
     solve_quadric_ps,
 )
-from hyperboxing.search_region import Strategy
+from hyperboxing.search_region import SearchRegion, Strategy
 
 
 def sphere_config(m=2, epsilon=0.25, **kwargs):
@@ -232,6 +234,91 @@ class TestSession:
             session.submit(solve_quadric_ps(query, (1.0,) * 5))
             check()
         assert session.iterations == 51
+
+
+@pytest.fixture
+def reported_sessions(monkeypatch):
+    """The sessions whose reports were built, in order."""
+    sessions = []
+    report = Session.report
+
+    def recording(self, *args):
+        sessions.append(self)
+        return report(self, *args)
+
+    monkeypatch.setattr(Session, "report", recording)
+    return sessions
+
+
+class TestFinalMaxBoxSize:
+    """The reported box size is certified: at least the exact L x U scan."""
+
+    @pytest.mark.parametrize(
+        "problem, m, epsilon, mode",
+        [
+            ("sphere", 2, 0.05, SizeMode.ABSOLUTE),
+            ("sphere", 3, 0.1, SizeMode.ABSOLUTE),
+            ("sphere", 4, 0.2, SizeMode.ABSOLUTE),
+            ("sphere", 5, 0.3, SizeMode.ABSOLUTE),
+            ("sphere", 6, 0.4, SizeMode.ABSOLUTE),
+            ("ellipsoid", 3, 0.1, SizeMode.RELATIVE),
+            ("patched", 3, 0.2, SizeMode.ABSOLUTE),
+        ],
+    )
+    def test_bounds_scan_and_meets_epsilon(self, reported_sessions, problem, m, epsilon, mode):
+        report = run_representation(RunConfig(make_problem(problem, m), epsilon, mode))
+        (session,) = reported_sessions
+        scan = session.region.max_box_size_full_scan()
+        assert not report.truncated and report.stalled_boxes == 0
+        assert scan <= report.final_max_box_size <= epsilon
+
+    def test_truncated_run_reports_largest_live_box(self, reported_sessions):
+        report = run_representation(sphere_config(m=3, epsilon=0.05, max_iterations=3))
+        (session,) = reported_sessions
+        box, _, _ = session.region.largest_box()
+        live = box_measures(box.lower, box.upper, session.region.scale)[0]
+        assert report.truncated
+        assert session.region.max_box_size_full_scan() <= report.final_max_box_size
+        assert report.final_max_box_size == live > 0.05
+
+    def test_evicted_boxes_bound_what_remains(self, monkeypatch, reported_sessions):
+        misses = {1, 4, 9}
+        make_backend = engine.make_backend
+
+        def missing_backend(config):
+            solve = make_backend(config)
+
+            def answer(query):
+                if query.query_id in misses:
+                    raise NoIntersection(f"query {query.query_id}")
+                return solve(query)
+
+            return answer
+
+        monkeypatch.setattr(engine, "make_backend", missing_backend)
+        report = run_representation(sphere_config(m=3, epsilon=0.1))
+        (session,) = reported_sessions
+        scan = session.region.max_box_size_full_scan()
+        evicted = max(report.selected_sizes[i] for i in misses)
+        assert report.stalled_boxes == len(misses)
+        assert not report.truncated
+        assert scan <= report.final_max_box_size == evicted
+        assert evicted > 0.1
+
+    @pytest.mark.parametrize("max_iterations", [3, engine.DEFAULT_MAX_ITERATIONS])
+    def test_naive_reports_exact_scan(self, reported_sessions, max_iterations):
+        report = run_representation(
+            sphere_config(m=3, epsilon=0.1, strategy=Strategy.NAIVE, max_iterations=max_iterations)
+        )
+        (session,) = reported_sessions
+        assert report.final_max_box_size == session.region.max_box_size_full_scan()
+
+    def test_improved_report_scans_nothing(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("L x U scanned")
+
+        monkeypatch.setattr(SearchRegion, "max_box_size_full_scan", refuse)
+        assert run_representation(sphere_config(m=4, epsilon=0.2)).final_max_box_size <= 0.2
 
 
 class TestCompareStrategies:

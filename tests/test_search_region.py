@@ -399,6 +399,49 @@ class TestBlockedScan:
         assert evicted_blocks - {0}
 
 
+class TestMaxBoxSizeBound:
+    """The improved region's certified box size against the exact scan."""
+
+    def test_start_box_at_threshold_is_settled(self):
+        reg = _region(_unit_box(2), eps=1.5)
+        assert reg.max_box_size_bound() == 1.0 == reg.max_box_size_full_scan()
+
+    def test_evicted_pair_bounds_its_sub_boxes(self):
+        reg = _region(Box((0.0, 0.0), (10.0, 10.0), (1.0, 1.0)), eps=0.5)
+        _, l_id, u_id = reg.largest_box()
+        reg.evict_pair(l_id, u_id)
+        reg.apply_point((5.0, 5.0), (5.0, 5.0))
+        # The scan finds the sub-boxes of the evicted start box.
+        assert reg.max_box_size_full_scan() == 5.0
+        assert reg.max_box_size_bound() == 10.0
+
+    @pytest.mark.parametrize("mode", list(SizeMode))
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_bounds_scan_after_every_step(self, m, mode):
+        rng = np.random.default_rng(40 + m)
+        scale = np.array([0.7, 1.3, 3.1, 0.9, 2.2][:m])
+        box = Box(tuple(-scale), (0.0,) * m, tuple(scale))
+        eps = 0.15
+        reg = _region(box, eps=eps, mode=mode)
+        evicted = False
+        for step in range(40):
+            pick = reg.largest_box()
+            if pick is None:
+                break
+            if step % 7 == 3:
+                reg.evict_pair(*pick[1:])
+                evicted = True
+            else:
+                d = np.abs(rng.normal(size=m))
+                z = tuple(-scale * d / np.linalg.norm(d))
+                s = tuple(np.minimum(np.asarray(z) + rng.uniform(0, 0.05, m), 0.0))
+                reg.apply_point(z, s, lower_only=step % 5 == 4)
+            assert reg.max_box_size_full_scan() <= reg.max_box_size_bound()
+        assert evicted
+        if reg.largest_box() is not None:
+            assert reg.max_box_size_bound() > eps
+
+
 class TestEpsilonPruning:
     def test_small_pairs_never_stored(self):
         reg = _region(_unit_box(2), eps=0.45)
