@@ -25,7 +25,8 @@ from .scalarization import (
     PSSolution,
     solve_quadric_ps,
 )
-from .search_region import SearchRegion, Strategy, bounds_oracle
+from .reference import bounds_oracle
+from .search_region import SearchRegion, Strategy
 
 __all__ = [
     "Ack",

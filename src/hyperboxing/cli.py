@@ -15,6 +15,7 @@ from .engine import (
     RunReport,
     Session,
     compare_strategies,
+    refine,
     run_representation,
 )
 from .geometry import Box, SizeMode
@@ -28,7 +29,6 @@ from .scalarization import (
     encode_done,
     encode_query,
 )
-from .search_region import Strategy
 
 
 def write_points_csv(path: str, points, m: int) -> None:
@@ -71,28 +71,28 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_problem: bool = True
     parser.add_argument(
         "--epsilon-mode", choices=[m.value for m in SizeMode], default="absolute"
     )
-    parser.add_argument(
-        "--strategy", choices=[s.value for s in Strategy], default="improved"
-    )
     parser.add_argument("--max-iterations", type=int, default=100_000)
     parser.add_argument("--out", help="points CSV output path")
     parser.add_argument("--report", help="JSON report output path")
 
 
+def _run_config(args) -> RunConfig:
+    return RunConfig(
+        make_problem(args.problem, args.m),
+        args.epsilon,
+        SizeMode(args.epsilon_mode),
+        max_iterations=args.max_iterations,
+        grid_resolution=args.grid_resolution,
+    )
+
+
 def cmd_run(args) -> int:
     try:
-        problem = make_problem(args.problem, args.m)
-        config = RunConfig(
-            problem,
-            args.epsilon,
-            SizeMode(args.epsilon_mode),
-            Strategy(args.strategy),
-            args.max_iterations,
-            args.grid_resolution,
-        )
+        config = _run_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    problem = config.problem
     report = run_representation(config)
     empirical_alpha = sampler_slack = None
     if problem.has_front_sampler and args.samples > 0 and report.cardinality > 0:
@@ -118,17 +118,11 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     try:
-        problem = make_problem(args.problem, args.m)
-        config = RunConfig(
-            problem,
-            args.epsilon,
-            SizeMode(args.epsilon_mode),
-            max_iterations=args.max_iterations,
-            grid_resolution=args.grid_resolution,
-        )
+        config = _run_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    problem = config.problem
     comparison = compare_strategies(config)
     result = {
         "problem": problem.name,
@@ -166,40 +160,31 @@ def cmd_serve(args) -> int:
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad start box file: {exc}", file=sys.stderr)
         return 2
-    session = Session(
-        box,
-        args.epsilon,
-        SizeMode(args.epsilon_mode),
-        Strategy(args.strategy),
-        args.max_iterations,
-    )
+    try:
+        session = Session(box, args.epsilon, SizeMode(args.epsilon_mode),
+                          max_iterations=args.max_iterations)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     stdin, stdout = sys.stdin, sys.stdout
     line_no = 0
-    started = time.perf_counter()
-    region_time = solve_time = 0.0
-    while True:
-        t0 = time.perf_counter()
-        query = session.next_query()
-        region_time += time.perf_counter() - t0
-        if query is None:
-            break
-        t0 = time.perf_counter()
+
+    def solve(query):
+        nonlocal line_no
         stdout.write(encode_query(query) + "\n")
         stdout.flush()
         line = stdin.readline()
-        solve_time += time.perf_counter() - t0
         line_no += 1
         if not line:
-            print(f"error: line {line_no}: unexpected end of input", file=sys.stderr)
-            return 1
-        try:
-            solution = decode_solution(line, expected_id=query.query_id, dim=box.dim)
-            t0 = time.perf_counter()
-            session.submit(solution)
-            region_time += time.perf_counter() - t0
-        except (ProtocolError, ContractError) as exc:
-            print(f"error: line {line_no}: {exc}", file=sys.stderr)
-            return 1
+            raise ProtocolError("unexpected end of input")
+        return decode_solution(line, expected_id=query.query_id, dim=box.dim)
+
+    started = time.perf_counter()
+    try:
+        region_time, solve_time = refine(session, solve)
+    except (ProtocolError, ContractError) as exc:
+        print(f"error: line {line_no}: {exc}", file=sys.stderr)
+        return 1
     stdout.write(encode_done() + "\n")
     stdout.flush()
     if args.out:

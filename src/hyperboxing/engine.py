@@ -1,11 +1,10 @@
 """The refinement driver: pick the largest box, scalarize, update the region.
 
-Two entry points:
-
 * :class:`Session` exposes the loop step-wise (next_query / submit) so an
   external solver can supply the scalarization answers.
-* :func:`run_representation` drives a session to completion with an
-  in-process backend and returns a :class:`RunReport`.
+* :func:`refine` drives a session to completion with a solve callable.
+* :func:`run_representation` runs :func:`refine` with an in-process backend
+  and returns a :class:`RunReport`.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .scalarization import (
     PSSolution,
     solve_quadric_ps,
 )
+from .reference import NaiveRegion
 from .search_region import SearchRegion, Strategy
 
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -114,7 +114,11 @@ class Session:
     ):
         if epsilon <= 0:
             raise ValueError(f"target approximation quality must be > 0, got {epsilon}")
-        self.region = SearchRegion(start_box, epsilon, mode, strategy)
+        if max_iterations < 1:
+            raise ValueError("iteration cap must be at least 1")
+        self.strategy = Strategy(strategy)
+        region_class = SearchRegion if self.strategy == Strategy.IMPROVED else NaiveRegion
+        self.region = region_class(start_box, epsilon, mode)
         self.epsilon = float(epsilon)
         self.mode = SizeMode(mode)
         self.max_iterations = max_iterations
@@ -224,7 +228,7 @@ class Session:
             m=self.region.m,
             epsilon=self.epsilon,
             mode=self.mode,
-            strategy=self.region.strategy,
+            strategy=self.strategy,
             entries=self.entries,
             iterations=self.iterations,
             stalled_boxes=self.stalled_boxes,
@@ -253,6 +257,34 @@ def make_backend(config: RunConfig):
     return GridScalarizer(problem, config.grid_resolution).solve
 
 
+def refine(session: Session, solve) -> tuple[float, float]:
+    """Answer the session's queries with ``solve`` until it asks no more.
+
+    ``solve(query)`` returns a ``PSSolution`` or raises ``NoIntersection``,
+    which evicts the query's box.  Returns the seconds spent in the session
+    and in ``solve``.
+    """
+    region_time = solve_time = 0.0
+    while True:
+        t0 = time.perf_counter()
+        query = session.next_query()
+        t1 = time.perf_counter()
+        region_time += t1 - t0
+        if query is None:
+            return region_time, solve_time
+        try:
+            solution = solve(query)
+        except NoIntersection:
+            solution = None
+        t0 = time.perf_counter()
+        solve_time += t0 - t1
+        if solution is None:
+            session.evict_pending()
+        else:
+            session.submit(solution)
+        region_time += time.perf_counter() - t0
+
+
 def run_representation(config: RunConfig) -> RunReport:
     """Run the full refinement loop and report the representation found."""
     problem = config.problem
@@ -265,28 +297,7 @@ def run_representation(config: RunConfig) -> RunReport:
         max_iterations=config.max_iterations,
     )
     t_start = time.perf_counter()
-    region_time = 0.0
-    solve_time = 0.0
-    while True:
-        t0 = time.perf_counter()
-        query = session.next_query()
-        region_time += time.perf_counter() - t0
-        if query is None:
-            break
-        t0 = time.perf_counter()
-        try:
-            solution = solve(query)
-        except NoIntersection:
-            solve_time += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            session.evict_pending()
-            region_time += time.perf_counter() - t0
-            continue
-        solve_time += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        session.submit(solution)
-        region_time += time.perf_counter() - t0
-
+    region_time, solve_time = refine(session, solve)
     return session.report(problem.name, t_start, region_time, solve_time)
 
 

@@ -57,13 +57,6 @@ def strictly_less(a: Point, b: Point) -> bool:
     return all(x < y for x, y in zip(a, b))
 
 
-def weakly_less(a: Point, b: Point) -> bool:
-    """Componentwise a_i <= b_i for all i."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return all(x <= y for x, y in zip(a, b))
-
-
 def effective_scale(scale: Point, mode: SizeMode) -> Point:
     """Per-dimension divisors for edge lengths under the given mode."""
     if mode == SizeMode.RELATIVE:

@@ -1,59 +1,39 @@
-"""Local lower/upper bound bookkeeping for the box decomposition.
+"""The improved bookkeeping of the search region's local bounds.
 
-Two interchangeable strategies maintain the sets L (local lower bounds) and
-U (local upper bounds) of the not-yet-excluded search region:
+:class:`SearchRegion` keeps the sets L (local lower bounds) and U (local
+upper bounds) of the not-yet-excluded search region, each in one
+column-major array store, and splits every bound a new point affects in a
+few array operations.  Only children that pass the creation criterion are
+made.  Pairs of opposing bounds whose box exceeds the pruning threshold are
+indexed per bound and kept in a lazy max-heap, so the largest box needs no
+scan.  The largest box of a pair dropped at or below the threshold, or
+evicted, is kept instead, and bounds every box left in L x U.
 
-* ``naive`` replaces every affected bound by all of its component children
-  and filters the result down to its minimal/maximal elements afterwards.
-* ``improved`` stores the points defining each bound component, spawns only
-  children that pass the creation criterion, and keeps per-bound indices of
-  opposing bounds so the largest remaining box is available cheaply.  Pairs
-  whose box is already at or below the pruning threshold are never stored;
-  the largest of them, and of the evicted pairs, is kept instead, and bounds
-  every box left in L x U without a scan of it.
-
-Both keep each kind of bound in one column-major array store and split all
-bounds affected by a new point in a few array operations.  Both strategies
-produce identical bound sets for identical inputs; the improved one just gets
-there faster.
+:mod:`hyperboxing.reference` holds the naive baseline and the brute-force
+checks; both regions build on :class:`RegionBase`.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import defaultdict
 from enum import Enum
 from itertools import chain
 
 import numpy as np
 
-from .geometry import (
-    Box,
-    Point,
-    SizeMode,
-    box_measures,
-    effective_scale,
-    selection_key,
-    strictly_less,
-)
+from .geometry import Box, Point, SizeMode, box_measures, effective_scale
 
 
 class Strategy(str, Enum):
+    """Which bookkeeping a run uses; ``engine.Session`` maps it to a region class."""
+
     NAIVE = "naive"
     IMPROVED = "improved"
 
 
 LOWER = "lower"
 UPPER = "upper"
-
-#: Sentinel defining entry for components inherited from the start box.
-#: Acts as -inf (upper bounds) / +inf (lower bounds) in criterion extrema.
-VIRTUAL = ()
-
-#: Elements per block of the L x U scan: its two float64 buffers take 512 KiB
-#: each, which fits a 2 MiB L2 cache.
-SCAN_BLOCK = 65_536
 
 #: A store drops its dead rows once they outnumber the live ones and it holds
 #: more than this many rows.
@@ -63,56 +43,6 @@ COMPACT_MIN_ROWS = 512
 #: form between a new child and its parent's partners, so such a bound never
 #: gains one, and the set is never written.
 NO_PARTNERS: frozenset[int] = frozenset()
-
-
-class Bound:
-    """A local bound with the representation points defining its components.
-
-    ``defining[j]`` is the tuple of points that pin component j of the bound;
-    several points share a component whenever they have equal coordinate
-    values there, so each entry is a set, not a single point.  The region
-    keeps its bounds in arrays and builds these objects only as views.
-    """
-
-    __slots__ = ("id", "kind", "coords", "defining")
-
-    def __init__(self, bid: int, kind: str, coords: Point, defining: tuple):
-        self.id = bid
-        self.kind = kind
-        self.coords = coords
-        self.defining = defining
-
-    def __repr__(self):
-        return f"Bound({self.id}, {self.kind}, {self.coords})"
-
-
-def child_criterion_upper(u: Bound, z: Point, k: int) -> bool:
-    """Whether splitting u at component k with z yields a non-redundant child.
-
-    True iff z_k exceeds, for every other component j, the smallest k-th
-    coordinate among the points defining component j (virtual entries never
-    constrain).  Scalar reference for the array kernel in ``_split_improved``.
-    """
-    best = -math.inf
-    for j, group in enumerate(u.defining):
-        if j == k or not group:
-            continue
-        low = min(d[k] for d in group)
-        if low > best:
-            best = low
-    return z[k] > best
-
-
-def child_criterion_lower(l: Bound, s: Point, k: int) -> bool:
-    """Mirror of :func:`child_criterion_upper` for lower bounds."""
-    best = math.inf
-    for j, group in enumerate(l.defining):
-        if j == k or not group:
-            continue
-        high = max(d[k] for d in group)
-        if high < best:
-            best = high
-    return s[k] < best
 
 
 class _Store:
@@ -128,7 +58,6 @@ class _Store:
     """
 
     def __init__(self, kind: str, m: int, capacity: int = 256):
-        self.kind = kind
         self.m = m
         # beyond(a, b): a > b for upper bounds, a < b for lower bounds.
         self.beyond = np.greater if kind == UPPER else np.less
@@ -238,63 +167,26 @@ class _Store:
             free = np.concatenate([free, np.ones((len(rows), 1), dtype=bool)], axis=1)
         self.defining[rows, cols, free.argmax(axis=1)] = idx
 
-    def bounds(self) -> list[Bound]:
-        """The live bounds as :class:`Bound` views, in id order."""
-        points = [tuple(p) for p in self.points.tolist()]
-        return [
-            Bound(
-                int(self.ids[r]),
-                self.kind,
-                tuple(self.coords[:, r].tolist()),
-                tuple(
-                    tuple(points[i] for i in group if i >= 0)
-                    for group in self.defining[r].tolist()
-                ),
-            )
-            for r in np.flatnonzero(self.alive[: self.n])
-        ]
 
+class RegionBase:
+    """The stores of L and U, bound ids and input checks, shared by both regions.
 
-class SearchRegion:
-    """The sets L and U plus, for the improved strategy, opposing indices."""
+    The start box's corners become bounds 0 (lower) and 1 (upper).
+    """
 
-    def __init__(
-        self,
-        start_box: Box,
-        epsilon: float,
-        mode: SizeMode = SizeMode.ABSOLUTE,
-        strategy: Strategy = Strategy.IMPROVED,
-    ):
+    def __init__(self, start_box: Box, epsilon: float, mode: SizeMode = SizeMode.ABSOLUTE):
         if epsilon < 0:
             raise ValueError(f"pruning threshold must be non-negative, got {epsilon}")
         self.m = start_box.dim
         self.epsilon = float(epsilon)
         self.mode = SizeMode(mode)
-        self.strategy = Strategy(strategy)
         self.start_scale = start_box.scale
         # Divisors applied to edges before any size comparison.
         self.scale = effective_scale(start_box.scale, self.mode)
-        self._scale_arr = np.asarray(self.scale)
         self._next_id = 0
         self._stores = {LOWER: _Store(LOWER, self.m), UPPER: _Store(UPPER, self.m)}
-        self._evicted: set[tuple[int, int]] = set()
-
-        lower = np.array(start_box.lower, dtype=float)[:, None]
-        upper = np.array(start_box.upper, dtype=float)[:, None]
-        (l0,) = self._append(LOWER, lower)
-        (u0,) = self._append(UPPER, upper)
-        if self.strategy == Strategy.IMPROVED:
-            self.opp_upper: dict[int, set[int]] = {l0: NO_PARTNERS}
-            self.opp_lower: dict[int, set[int]] = {u0: NO_PARTNERS}
-            self._heap: list = []
-            self._live_pairs = 0
-            # Largest size of a pair dropped at or below epsilon or evicted.
-            self._settled = 0.0
-            for l_id, u_id in zip(*self._push_pairs(lower, upper, [l0], [u0])):
-                self.opp_upper[l_id] = {u_id}
-                self.opp_lower[u_id] = {l_id}
-
-    # -- bound management -------------------------------------------------
+        self._append(LOWER, np.array(start_box.lower, dtype=float)[:, None])
+        self._append(UPPER, np.array(start_box.upper, dtype=float)[:, None])
 
     def _append(self, kind: str, coords: np.ndarray, defining=None) -> range:
         """Store the columns of coords as new bounds; returns their ids."""
@@ -306,29 +198,16 @@ class SearchRegion:
     def contains_bound(self, bid: int) -> bool:
         return any(store.contains(bid) for store in self._stores.values())
 
-    @property
-    def bounds(self) -> dict[int, Bound]:
-        """Every live bound by id, as views built from the stores."""
-        views = self.lower_bounds() + self.upper_bounds()
-        return {b.id: b for b in sorted(views, key=lambda b: b.id)}
-
-    def lower_bounds(self) -> list[Bound]:
-        return self._stores[LOWER].bounds()
-
-    def upper_bounds(self) -> list[Bound]:
-        return self._stores[UPPER].bounds()
-
     def coordinate_set(self, kind: str) -> set[Point]:
         coords, _ = self._stores[kind].live_view()
         return set(map(tuple, coords.T.tolist()))
 
-    # -- updates -----------------------------------------------------------
-
     def apply_point(self, z, s, lower_only: bool = False) -> None:
         """Ingest a new representation point z with its shifted point s = z + lambda.
 
-        Lower bounds are updated with s, upper bounds with z.  ``lower_only``
-        is used when z was reported dominated and must not tighten U.
+        Lower bounds are split at s, upper bounds at z, by the subclass's
+        ``_split``.  ``lower_only`` is used when z was reported dominated and
+        must not tighten U.
         """
         z = tuple(float(v) for v in z)
         s = tuple(float(v) for v in s)
@@ -336,17 +215,31 @@ class SearchRegion:
             raise ValueError("point dimension does not match the region")
         if not all(si >= zi for zi, si in zip(z, s)):
             raise ValueError(f"s must dominate z componentwise, got z={z}, s={s}")
-        if self.strategy == Strategy.IMPROVED:
-            self._split_improved(LOWER, s)
-            if not lower_only:
-                self._split_improved(UPPER, z)
-            self._compact_heap()
-        else:
-            self._split_naive(LOWER, s)
-            if not lower_only:
-                self._split_naive(UPPER, z)
+        self._split(LOWER, s)
+        if not lower_only:
+            self._split(UPPER, z)
 
-    # -- improved strategy --------------------------------------------------
+
+class SearchRegion(RegionBase):
+    """The sets L and U with opposing indices and a lazy heap of their boxes."""
+
+    def __init__(self, start_box: Box, epsilon: float, mode: SizeMode = SizeMode.ABSOLUTE):
+        super().__init__(start_box, epsilon, mode)
+        self.opp_upper: dict[int, set[int]] = {0: NO_PARTNERS}
+        self.opp_lower: dict[int, set[int]] = {1: NO_PARTNERS}
+        self._heap: list = []
+        self._live_pairs = 0
+        # Largest size of a pair dropped at or below epsilon or evicted.
+        self._settled = 0.0
+        lower, upper = (self._stores[kind].coords[:, :1] for kind in (LOWER, UPPER))
+        for l_id, u_id in zip(*self._push_pairs(lower, upper, [0], [1])):
+            self.opp_upper[l_id] = {u_id}
+            self.opp_lower[u_id] = {l_id}
+
+    def apply_point(self, z, s, lower_only: bool = False) -> None:
+        """Split as :meth:`RegionBase.apply_point` does, then compact the heap."""
+        super().apply_point(z, s, lower_only)
+        self._compact_heap()
 
     def _push_pairs(self, lower, upper, l_ids, u_ids) -> tuple[list[int], list[int]]:
         """Index the candidate pairs whose box exceeds epsilon.
@@ -390,12 +283,12 @@ class SearchRegion:
         self._heap = [e for e in self._heap if e[4] in opp.get(e[3], ())]
         heapq.heapify(self._heap)
 
-    def _split_improved(self, kind: str, pt: Point) -> None:
+    def _split(self, kind: str, pt: Point) -> None:
         """Split every bound strictly beyond pt at once.
 
         Child k of an affected parent is created iff, for every other
         non-virtual component j, some point d defining j has pt beyond d in
-        component k; this is :func:`child_criterion_upper` (or ``_lower``)
+        component k; this is ``reference.child_criterion_upper`` (or ``_lower``)
         written without extrema.  A child inherits the defining points that
         pass the same test in its k and is defined by pt alone in k.
         """
@@ -467,244 +360,42 @@ class SearchRegion:
             other_opp[p].add(c)
         own_opp.update(fresh)
 
-    # -- naive strategy ------------------------------------------------------
-
-    def _split_naive(self, kind: str, pt: Point) -> None:
-        m = self.m
-        store = self._stores[kind]
-        rows, _, _ = store.scan(pt)
-        if len(rows) == 0:
-            return
-        parents = store.coords.take(rows, axis=1).T
-        na = len(rows)
-        # All m component children of every affected parent.
-        children = np.repeat(parents, m, axis=0)
-        cols = np.tile(np.arange(m), na)
-        children[np.arange(na * m), cols] = np.asarray(pt)[cols]
-        children = np.unique(children, axis=0)
-
-        store.kill(rows)
-        survivors = np.ascontiguousarray(store.live_view()[0].T)
-
-        # Children are componentwise weakly inside their parents, so they can
-        # never dominate a surviving bound; only the children need filtering.
-        keep = ~self._naive_dominated(children, survivors, kind)
-        keep &= ~self._naive_dominated_within(children, kind)
-        self._append(kind, children[keep].T)
-
-    @staticmethod
-    def _naive_dominated(children: np.ndarray, others: np.ndarray, kind: str) -> np.ndarray:
-        """Mask of children weakly dominated by any row of ``others``."""
-        if len(others) == 0:
-            return np.zeros(len(children), dtype=bool)
-        out = np.zeros(len(children), dtype=bool)
-        chunk = max(1, int(4e6 // max(1, others.size)))
-        for i in range(0, len(children), chunk):
-            block = children[i : i + chunk]
-            if kind == UPPER:
-                dom = (others[None, :, :] >= block[:, None, :]).all(axis=2)
-            else:
-                dom = (others[None, :, :] <= block[:, None, :]).all(axis=2)
-            out[i : i + chunk] = dom.any(axis=1)
-        return out
-
-    @staticmethod
-    def _naive_dominated_within(children: np.ndarray, kind: str) -> np.ndarray:
-        """Mask of children weakly dominated by a distinct sibling (rows unique)."""
-        if kind == UPPER:
-            ge = (children[None, :, :] >= children[:, None, :]).all(axis=2)
-        else:
-            ge = (children[None, :, :] <= children[:, None, :]).all(axis=2)
-        # ge[i, j] == True iff sibling j covers child i; the diagonal is always
-        # true, so any second hit in a row means real domination.
-        return ge.sum(axis=1) > 1
-
-    # -- queries ---------------------------------------------------------------
-
     def evict_pair(self, l_id: int, u_id: int) -> None:
         """Permanently drop one box from consideration (stall handling)."""
-        if self.strategy == Strategy.IMPROVED and u_id in self.opp_upper.get(l_id, ()):
+        if u_id in self.opp_upper.get(l_id, ()):
             self.opp_upper[l_id].discard(u_id)
             self.opp_lower[u_id].discard(l_id)
             self._live_pairs -= 1
             lower = self._stores[LOWER].coords_of(l_id)
             upper = self._stores[UPPER].coords_of(u_id)
             self._settled = max(self._settled, box_measures(lower, upper, self.scale)[0])
-        self._evicted.add((l_id, u_id))
 
     def largest_box(self):
         """The largest remaining box, or None once every box is at most epsilon.
 
         Returns (Box, l_id, u_id).
         """
-        if self.strategy == Strategy.IMPROVED:
-            while self._heap:
-                _, _, _, l_id, u_id = self._heap[0]
-                opp = self.opp_upper.get(l_id)
-                if opp is not None and u_id in opp:
-                    lower = self._stores[LOWER].coords_of(l_id)
-                    upper = self._stores[UPPER].coords_of(u_id)
-                    return Box(lower, upper, self.start_scale), l_id, u_id
-                heapq.heappop(self._heap)
-            return None
-        return self._largest_box_scan(self.epsilon)
-
-    def _largest_box_scan(self, threshold: float):
-        """Cache-blocked scan over L x U (naive selection and the final report).
-
-        Walks L in blocks of rows whose size matrix holds about SCAN_BLOCK
-        elements, folding into two buffers allocated once per scan, and keeps
-        each block's maximum.  Blocks holding the overall maximum are scanned
-        again to collect the tied pairs, which ``selection_key`` then orders.
-        """
-        l_coords, l_ids = self._stores[LOWER].live_view()
-        u_coords, u_ids = self._stores[UPPER].live_view()
-        n_l, n_u = len(l_ids), len(u_ids)
-        if n_l == 0 or n_u == 0:
-            return None
-        scale = self._scale_arr[:, None]
-        scaled_l = l_coords / scale
-        scaled_u = u_coords / scale
-        evicted = self._active_evictions(l_ids, u_ids)
-        rows = max(1, SCAN_BLOCK // n_u)
-        buffers = np.empty((2, min(rows, n_l), n_u))
-        starts = range(0, n_l, rows)
-
-        def block_sizes(start):
-            """min_j (u_j - l_j) for L rows [start, start + rows) against all of U."""
-            block = scaled_l[:, start : start + rows]
-            sizes, edge = buffers[:, : block.shape[1]]
-            np.subtract(scaled_u[0], block[0, :, None], out=sizes)
-            for d in range(1, self.m):
-                np.subtract(scaled_u[d], block[d, :, None], out=edge)
-                np.minimum(sizes, edge, out=sizes)
-            for li, uj in evicted:
-                if start <= li < start + block.shape[1]:
-                    sizes[li - start, uj] = -math.inf
-            return sizes
-
-        block_max = [block_sizes(start).max() for start in starts]
-        best = max(block_max)
-        if best <= threshold:
-            return None
-
-        candidates = []
-        for start, top in zip(starts, block_max):
-            if top != best:
-                continue
-            sizes = block_sizes(start)
-            for li, uj in zip(*np.nonzero(sizes == best)):
-                candidates.append((int(li) + start, int(uj)))
-        best_key = None
-        best_pair = None
-        for li, uj in candidates:
-            lower = tuple(l_coords[:, li])
-            upper = tuple(u_coords[:, uj])
-            key = selection_key(lower, upper, self.scale)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_pair = (li, uj, lower, upper)
-        li, uj, lower, upper = best_pair
-        box = Box(lower, upper, self.start_scale)
-        return box, int(l_ids[li]), int(u_ids[uj])
-
-    def _active_evictions(self, l_ids, u_ids):
-        if not self._evicted:
-            return []
-        lpos = {int(b): i for i, b in enumerate(l_ids)}
-        upos = {int(b): i for i, b in enumerate(u_ids)}
-        active = []
-        for l_id, u_id in list(self._evicted):
-            if l_id in lpos and u_id in upos:
-                active.append((lpos[l_id], upos[u_id]))
-            else:
-                self._evicted.discard((l_id, u_id))
-        return active
+        while self._heap:
+            _, _, _, l_id, u_id = self._heap[0]
+            opp = self.opp_upper.get(l_id)
+            if opp is not None and u_id in opp:
+                lower = self._stores[LOWER].coords_of(l_id)
+                upper = self._stores[UPPER].coords_of(u_id)
+                return Box(lower, upper, self.start_scale), l_id, u_id
+            heapq.heappop(self._heap)
+        return None
 
     def max_box_size_bound(self) -> float:
         """An upper bound on the size of every box left in L x U.
 
-        The improved strategy reports the larger of the running maximum over
-        the pairs it stopped refining and the largest live pair.  Lower-bound
-        children lie above their parents and upper-bound children below, and
-        a pair forms only between a child and its parent's partners, so every
-        box in L x U lies inside a dropped, evicted or live pair's box; edge
-        lengths are monotone under rounding, so the bound is at least
-        :meth:`max_box_size_full_scan`.  The naive strategy, the reference,
-        reports that scan.
+        The larger of the running maximum over the pairs the region stopped
+        refining and the largest live pair.  Lower-bound children lie above
+        their parents and upper-bound children below, and a pair forms only
+        between a child and its parent's partners, so every box in L x U lies
+        inside a dropped, evicted or live pair's box; edge lengths are
+        monotone under rounding, so the bound is at least the exact scan,
+        ``reference.max_box_size_full_scan``.
         """
-        if self.strategy != Strategy.IMPROVED:
-            return self.max_box_size_full_scan()
         if self.largest_box() is None:
             return self._settled
         return max(self._settled, -self._heap[0][0])
-
-    def max_box_size_full_scan(self) -> float:
-        """Largest remaining non-evicted box size by brute force (any strategy)."""
-        result = self._largest_box_scan(0.0)
-        if result is None:
-            return 0.0
-        box, _, _ = result
-        return box_measures(box.lower, box.upper, self.scale)[0]
-
-    def check_indices(self) -> None:
-        """Assert the opposing indices match a brute-force recomputation."""
-        if self.strategy != Strategy.IMPROVED:
-            raise ValueError("indices exist only for the improved strategy")
-        uppers = self.upper_bounds()
-        for l in self.lower_bounds():
-            expected = set()
-            for u in uppers:
-                if strictly_less(l.coords, u.coords):
-                    size, _ = box_measures(l.coords, u.coords, self.scale)
-                    if size > self.epsilon and (l.id, u.id) not in self._evicted:
-                        expected.add(u.id)
-            actual = self.opp_upper.get(l.id, set())
-            if actual != expected:
-                raise AssertionError(f"opposing uppers of {l} differ: {actual} != {expected}")
-            for u_id in actual:
-                if l.id not in self.opp_lower[u_id]:
-                    raise AssertionError("opposing index maps are not symmetric")
-
-
-def bounds_oracle(start_box: Box, points, kind: str) -> set[Point]:
-    """Brute-force local bounds for a small point set, for verification.
-
-    Enumerates all coordinate combinations drawn from the points and the
-    relevant start-box corner, keeps the candidates not strictly beyond any
-    point, and reduces to maximal (upper) or minimal (lower) elements.
-    """
-    m = start_box.dim
-    pts = np.array([tuple(map(float, p)) for p in points], dtype=float).reshape(-1, m)
-    corner = start_box.upper if kind == UPPER else start_box.lower
-    # Mirror the lower-bound case onto the upper-bound one.
-    sign = 1.0 if kind == UPPER else -1.0
-    P = sign * pts
-    choices = [
-        np.array(sorted({float(sign * v) for v in pts[:, j]} | {sign * corner[j]}))
-        for j in range(m)
-    ]
-    idx_grids = np.meshgrid(*[np.arange(len(c)) for c in choices], indexing="ij")
-    idx = np.stack([g.ravel() for g in idx_grids], axis=1)
-    cand = np.stack([choices[j][idx[:, j]] for j in range(m)], axis=1)
-
-    def blocked(rows: np.ndarray) -> np.ndarray:
-        return (P[None, :, :] < rows[:, None, :]).all(axis=2).any(axis=1)
-
-    if len(P):
-        keep = ~blocked(cand)
-        cand = cand[keep]
-        idx = idx[keep]
-        # An unblocked candidate is maximal iff raising any single coordinate
-        # to the next grid value makes it blocked (or it already sits at the
-        # corner); an unblocked raise witnesses a larger unblocked candidate.
-        maximal = np.ones(len(cand), dtype=bool)
-        for j in range(m):
-            can_raise = np.flatnonzero(idx[:, j] + 1 < len(choices[j]))
-            if not len(can_raise):
-                continue
-            raised = cand[can_raise].copy()
-            raised[:, j] = choices[j][idx[can_raise, j] + 1]
-            maximal[can_raise[~blocked(raised)]] = False
-        cand = cand[maximal]
-    return {tuple(float(sign * v) for v in row) for row in cand}

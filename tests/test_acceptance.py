@@ -22,13 +22,8 @@ from hyperboxing.geometry import Box, SizeMode
 from hyperboxing.metrics import approximation_quality, covering_slack
 from hyperboxing.problems import make_problem
 from hyperboxing.scalarization import decode_query, encode_solution, solve_quadric_ps
-from hyperboxing.search_region import (
-    LOWER,
-    UPPER,
-    SearchRegion,
-    Strategy,
-    bounds_oracle,
-)
+from hyperboxing.reference import NaiveRegion, bounds_oracle
+from hyperboxing.search_region import LOWER, UPPER, SearchRegion, Strategy
 
 # -- epsilon conversion and cached runs ---------------------------------------
 
@@ -180,8 +175,8 @@ class TestCriterion5BoundsOracle:
                     pts = [q for q in pts
                            if not all(row[i] <= q[i] for i in range(m))]
                     pts.append(row)
-            for strategy in Strategy:
-                region = SearchRegion(box, 0.0, SizeMode.ABSOLUTE, strategy)
+            for region_class in (NaiveRegion, SearchRegion):
+                region = region_class(box, 0.0, SizeMode.ABSOLUTE)
                 for p in pts:
                     region.apply_point(p, p)
                 for kind in (LOWER, UPPER):

@@ -9,11 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from hyperboxing import reference
 from hyperboxing.cli import _report_dict, main, write_points_csv
 from hyperboxing.engine import RunConfig, Session, run_representation
 from hyperboxing.geometry import Box
 from hyperboxing.problems import make_problem
-from hyperboxing.search_region import SearchRegion
 from hyperboxing.scalarization import decode_query, encode_solution, solve_quadric_ps
 
 
@@ -76,6 +76,13 @@ class TestCompareCommand:
         assert result["identicalSequences"] is True
         assert result["cardinality"] > 0
         assert result["regionTimeRatio"] > 0
+
+    def test_strategy_flag_refused(self, capsys):
+        # compare always runs both strategies, so it takes no --strategy.
+        with pytest.raises(SystemExit):
+            run_cli("compare", "--problem", "sphere", "--epsilon", "0.2",
+                    "--strategy", "naive")
+        assert "--strategy" in capsys.readouterr().err
 
 
 class TestSampleFrontCommand:
@@ -169,10 +176,10 @@ class TestServeCommand:
         box_file.write_text('{"l0": [-1.0, -1.0], "u0": [0.0, 0.0]}')
         report_path = tmp_path / "report.json"
 
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("L x U scanned")
 
-        monkeypatch.setattr(SearchRegion, "max_box_size_full_scan", refuse)
+        monkeypatch.setattr(reference, "_largest_box_scan", refuse)
         monkeypatch.setattr(sys, "stdin", io.StringIO("".join(answers)))
         code = run_cli("serve", "--epsilon", "0.3", "--start-box", str(box_file),
                        "--report", str(report_path))
@@ -181,6 +188,18 @@ class TestServeCommand:
         report = json.loads(report_path.read_text())
         assert report["cardinality"] == len(answers)
         assert report["finalMaxBoxSize"] == session.final_max_box_size() <= 0.3
+
+    @pytest.mark.parametrize(
+        "limits", [["--epsilon", "0"], ["--epsilon", "0.3", "--max-iterations", "0"]]
+    )
+    def test_bad_limit_exits_2(self, tmp_path, capsys, limits):
+        box_file = tmp_path / "box.json"
+        box_file.write_text('{"l0": [-1.0, -1.0], "u0": [0.0, 0.0]}')
+        code = run_cli("serve", "--start-box", str(box_file), *limits)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_bad_start_box_exits_2(self, tmp_path):
         box_file = tmp_path / "box.json"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperboxing import engine
+from hyperboxing import engine, reference
 from hyperboxing.engine import (
     Ack,
     RunConfig,
@@ -24,7 +24,8 @@ from hyperboxing.scalarization import (
     PSSolution,
     solve_quadric_ps,
 )
-from hyperboxing.search_region import SearchRegion, Strategy
+from hyperboxing.reference import max_box_size_full_scan
+from hyperboxing.search_region import Strategy
 
 
 def sphere_config(m=2, epsilon=0.25, **kwargs):
@@ -268,7 +269,7 @@ class TestFinalMaxBoxSize:
     def test_bounds_scan_and_meets_epsilon(self, reported_sessions, problem, m, epsilon, mode):
         report = run_representation(RunConfig(make_problem(problem, m), epsilon, mode))
         (session,) = reported_sessions
-        scan = session.region.max_box_size_full_scan()
+        scan = max_box_size_full_scan(session.region)
         assert not report.truncated and report.stalled_boxes == 0
         assert scan <= report.final_max_box_size <= epsilon
 
@@ -278,7 +279,7 @@ class TestFinalMaxBoxSize:
         box, _, _ = session.region.largest_box()
         live = box_measures(box.lower, box.upper, session.region.scale)[0]
         assert report.truncated
-        assert session.region.max_box_size_full_scan() <= report.final_max_box_size
+        assert max_box_size_full_scan(session.region) <= report.final_max_box_size
         assert report.final_max_box_size == live > 0.05
 
     def test_evicted_boxes_bound_what_remains(self, monkeypatch, reported_sessions):
@@ -298,7 +299,7 @@ class TestFinalMaxBoxSize:
         monkeypatch.setattr(engine, "make_backend", missing_backend)
         report = run_representation(sphere_config(m=3, epsilon=0.1))
         (session,) = reported_sessions
-        scan = session.region.max_box_size_full_scan()
+        scan = max_box_size_full_scan(session.region)
         evicted = max(report.selected_sizes[i] for i in misses)
         assert report.stalled_boxes == len(misses)
         assert not report.truncated
@@ -311,13 +312,13 @@ class TestFinalMaxBoxSize:
             sphere_config(m=3, epsilon=0.1, strategy=Strategy.NAIVE, max_iterations=max_iterations)
         )
         (session,) = reported_sessions
-        assert report.final_max_box_size == session.region.max_box_size_full_scan()
+        assert report.final_max_box_size == max_box_size_full_scan(session.region)
 
     def test_improved_report_scans_nothing(self, monkeypatch):
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("L x U scanned")
 
-        monkeypatch.setattr(SearchRegion, "max_box_size_full_scan", refuse)
+        monkeypatch.setattr(reference, "_largest_box_scan", refuse)
         assert run_representation(sphere_config(m=4, epsilon=0.2)).final_max_box_size <= 0.2
 
 

@@ -15,7 +15,6 @@ from hyperboxing.geometry import (
     effective_scale,
     selection_key,
     strictly_less,
-    weakly_less,
 )
 
 
@@ -43,11 +42,6 @@ class TestStrictlyLess:
         assert not strictly_less(a, a)
         if strictly_less(a, b):
             assert not strictly_less(b, a)
-
-    @given(_finite_points(2), _finite_points(2))
-    def test_strict_implies_weak(self, a, b):
-        if strictly_less(a, b):
-            assert weakly_less(a, b)
 
 
 class TestBox:

@@ -5,27 +5,36 @@ import operator
 import numpy as np
 import pytest
 
-from hyperboxing import search_region
+from hyperboxing import reference, search_region
 from hyperboxing.geometry import Box, SizeMode, box_measures, selection_key
-from hyperboxing.search_region import (
-    LOWER,
-    UPPER,
+from hyperboxing.reference import (
     VIRTUAL,
     Bound,
-    SearchRegion,
-    Strategy,
+    NaiveRegion,
+    bound_views,
     bounds_oracle,
+    check_indices,
     child_criterion_lower,
     child_criterion_upper,
+    max_box_size_full_scan,
 )
+from hyperboxing.search_region import LOWER, UPPER, SearchRegion
+
+REGION_CLASSES = (NaiveRegion, SearchRegion)
 
 
 def _unit_box(m, lo=0.0, hi=1.0):
     return Box((lo,) * m, (hi,) * m, (1.0,) * m)
 
 
-def _region(box, eps=0.0, strategy=Strategy.IMPROVED, mode=SizeMode.ABSOLUTE):
-    return SearchRegion(box, eps, mode, strategy)
+def _region(box, eps=0.0, region_class=SearchRegion, mode=SizeMode.ABSOLUTE):
+    return region_class(box, eps, mode)
+
+
+def _all_bounds(region):
+    """Every live bound of the region as a view, in id order."""
+    views = bound_views(region, LOWER) + bound_views(region, UPPER)
+    return sorted(views, key=lambda b: b.id)
 
 
 def _apply_all(region, points):
@@ -36,8 +45,8 @@ def _apply_all(region, points):
 class TestInitRegion:
     def test_single_pair_stored(self):
         reg = _region(_unit_box(2), eps=0.1)
-        assert len(reg.lower_bounds()) == 1
-        assert len(reg.upper_bounds()) == 1
+        assert len(bound_views(reg, LOWER)) == 1
+        assert len(bound_views(reg, UPPER)) == 1
         box, _, _ = reg.largest_box()
         assert box.lower == (0.0, 0.0)
         assert box.upper == (1.0, 1.0)
@@ -48,8 +57,8 @@ class TestInitRegion:
 
     def test_three_dimensional_start(self):
         reg = _region(_unit_box(3, -1.0, 0.0), eps=0.1)
-        assert len(reg.lower_bounds()) == 1
-        assert len(reg.upper_bounds()) == 1
+        assert len(bound_views(reg, LOWER)) == 1
+        assert len(bound_views(reg, UPPER)) == 1
         assert reg.largest_box() is not None
 
     def test_negative_epsilon_rejected(self):
@@ -58,7 +67,7 @@ class TestInitRegion:
 
     def test_start_bounds_all_virtual(self):
         reg = _region(_unit_box(3), eps=0.1)
-        for bound in reg.bounds.values():
+        for bound in _all_bounds(reg):
             assert bound.defining == (VIRTUAL,) * 3
 
 
@@ -173,15 +182,15 @@ class TestApplyPointNaive:
             [(0.5, 0.5, 0.5), (0.25, 0.75, 0.25)],
         ]
         for pts in seqs:
-            a = _region(_unit_box(3), strategy=Strategy.NAIVE)
-            b = _region(_unit_box(3), strategy=Strategy.IMPROVED)
+            a = _region(_unit_box(3), region_class=NaiveRegion)
+            b = _region(_unit_box(3))
             _apply_all(a, pts)
             _apply_all(b, pts)
             for kind in (LOWER, UPPER):
                 assert a.coordinate_set(kind) == b.coordinate_set(kind)
 
     def test_both_children_kept_in_2d(self):
-        reg = _region(_unit_box(2), strategy=Strategy.NAIVE)
+        reg = _region(_unit_box(2), region_class=NaiveRegion)
         reg.apply_point((0.3, 0.7), (0.3, 0.7))
         assert reg.coordinate_set(UPPER) == {(0.3, 1.0), (1.0, 0.7)}
 
@@ -216,8 +225,8 @@ class TestOracleEquivalence:
         for _ in range(20):
             n = int(rng.integers(1, 9))
             pts = [tuple(rng.uniform(-0.95, -0.05, m)) for _ in range(n)]
-            for strategy in Strategy:
-                reg = _region(box, strategy=strategy)
+            for region_class in REGION_CLASSES:
+                reg = _region(box, region_class=region_class)
                 _apply_all(reg, pts)
                 for kind in (LOWER, UPPER):
                     assert reg.coordinate_set(kind) == bounds_oracle(box, pts, kind)
@@ -233,8 +242,8 @@ class TestOracleEquivalence:
             vals = np.round(rng.uniform(-1, 0, (n, m)) * 4) / 4
             vals = np.clip(vals, -0.99, -0.01)
             pts = [tuple(map(float, row)) for row in vals]
-            for strategy in Strategy:
-                reg = _region(box, strategy=strategy)
+            for region_class in REGION_CLASSES:
+                reg = _region(box, region_class=region_class)
                 _apply_all(reg, pts)
                 for kind in (LOWER, UPPER):
                     assert reg.coordinate_set(kind) == bounds_oracle(box, pts, kind)
@@ -254,8 +263,8 @@ class TestOracleEquivalence:
              -0.2147277446105456, -0.3241777197868489),
         ]
         box = _unit_box(5, -1.0, 0.0)
-        for strategy in Strategy:
-            reg = _region(box, strategy=strategy)
+        for region_class in REGION_CLASSES:
+            reg = _region(box, region_class=region_class)
             _apply_all(reg, pts)
             for kind in (LOWER, UPPER):
                 assert reg.coordinate_set(kind) == bounds_oracle(box, pts, kind)
@@ -263,7 +272,7 @@ class TestOracleEquivalence:
 
 class TestDefiningConsistency:
     def _assert_consistent(self, reg):
-        for bound in reg.bounds.values():
+        for bound in _all_bounds(reg):
             for j, group in enumerate(bound.defining):
                 for d in group:
                     assert d[j] == bound.coords[j]
@@ -298,12 +307,7 @@ class TestOpposingIndices:
         for _ in range(10):
             z = tuple(rng.uniform(-0.9, -0.1, 3))
             reg.apply_point(z, z)
-            reg.check_indices()
-
-    def test_naive_has_no_indices(self):
-        reg = _region(_unit_box(2), strategy=Strategy.NAIVE)
-        with pytest.raises(ValueError):
-            reg.check_indices()
+            check_indices(reg)
 
 
 class TestLargestBox:
@@ -311,8 +315,8 @@ class TestLargestBox:
         import math
 
         z = (-math.sqrt(0.5), -math.sqrt(0.5))
-        for strategy in Strategy:
-            reg = _region(_unit_box(2, -1.0, 0.0), eps=0.25, strategy=strategy)
+        for region_class in REGION_CLASSES:
+            reg = _region(_unit_box(2, -1.0, 0.0), eps=0.25, region_class=region_class)
             reg.apply_point(z, z)
             box, _, _ = reg.largest_box()
             # Two boxes of size 0.2929 remain; the larger corner tuple wins.
@@ -320,16 +324,16 @@ class TestLargestBox:
             assert box.upper == (0.0, z[1])
 
     def test_exhausted_region_returns_none(self):
-        for strategy in Strategy:
-            reg = _region(_unit_box(2), eps=0.6, strategy=strategy)
+        for region_class in REGION_CLASSES:
+            reg = _region(_unit_box(2), eps=0.6, region_class=region_class)
             reg.apply_point((0.5, 0.5), (0.5, 0.5))
             assert reg.largest_box() is None
 
     def test_strategies_agree_on_selection(self):
         rng = np.random.default_rng(3)
         pts = [tuple(rng.uniform(-0.9, -0.1, 3)) for _ in range(6)]
-        a = _region(_unit_box(3, -1.0, 0.0), eps=0.05, strategy=Strategy.NAIVE)
-        b = _region(_unit_box(3, -1.0, 0.0), eps=0.05, strategy=Strategy.IMPROVED)
+        a = _region(_unit_box(3, -1.0, 0.0), eps=0.05, region_class=NaiveRegion)
+        b = _region(_unit_box(3, -1.0, 0.0), eps=0.05)
         for p in pts:
             a.apply_point(p, p)
             b.apply_point(p, p)
@@ -353,8 +357,8 @@ class TestBlockedScan:
     def _reference(region):
         """(size, l, u) of the largest non-evicted pair; ties go to selection_key."""
         best = None
-        for l in region.lower_bounds():
-            for u in region.upper_bounds():
+        for l in bound_views(region, LOWER):
+            for u in bound_views(region, UPPER):
                 if (l.id, u.id) in region._evicted:
                     continue
                 # Scaled corners are subtracted, as in the scan; in relative
@@ -372,15 +376,15 @@ class TestBlockedScan:
         rng = np.random.default_rng(10 * m + rows)
         scale = np.array([0.7, 1.3, 3.1, 0.9, 2.2, 1.7][:m])
         box = Box(tuple(-scale), (0.0,) * m, tuple(scale))
-        region = _region(box, eps=0.05, strategy=Strategy.NAIVE, mode=mode)
+        region = _region(box, eps=0.05, region_class=NaiveRegion, mode=mode)
         directions = np.abs(rng.normal(size=(n, m)))
         for d in directions / np.linalg.norm(directions, axis=1, keepdims=True):
             z = tuple(-scale * d)
             region.apply_point(z, z)
-        n_u = len(region.upper_bounds())
+        n_u = len(bound_views(region, UPPER))
         # rows == 1 comes from a block smaller than one row of U.
         block = n_u // 2 if rows == 1 else rows * n_u + n_u - 1
-        monkeypatch.setattr(search_region, "SCAN_BLOCK", block)
+        monkeypatch.setattr(reference, "SCAN_BLOCK", block)
         l_order = [int(b) for b in region._stores[LOWER].live_view()[1]]
         assert len(l_order) > 2 * rows  # at least three blocks
 
@@ -388,7 +392,7 @@ class TestBlockedScan:
         for _ in range(12):
             size, l, u = self._reference(region)
             expected = box_measures(l.coords, u.coords, region.scale)[0]
-            assert region.max_box_size_full_scan() == expected
+            assert max_box_size_full_scan(region) == expected
             if size > region.epsilon:
                 assert region.largest_box() == (Box(l.coords, u.coords, box.scale), l.id, u.id)
             else:
@@ -404,7 +408,7 @@ class TestMaxBoxSizeBound:
 
     def test_start_box_at_threshold_is_settled(self):
         reg = _region(_unit_box(2), eps=1.5)
-        assert reg.max_box_size_bound() == 1.0 == reg.max_box_size_full_scan()
+        assert reg.max_box_size_bound() == 1.0 == max_box_size_full_scan(reg)
 
     def test_evicted_pair_bounds_its_sub_boxes(self):
         reg = _region(Box((0.0, 0.0), (10.0, 10.0), (1.0, 1.0)), eps=0.5)
@@ -412,8 +416,18 @@ class TestMaxBoxSizeBound:
         reg.evict_pair(l_id, u_id)
         reg.apply_point((5.0, 5.0), (5.0, 5.0))
         # The scan finds the sub-boxes of the evicted start box.
-        assert reg.max_box_size_full_scan() == 5.0
+        assert max_box_size_full_scan(reg) == 5.0
         assert reg.max_box_size_bound() == 10.0
+
+    def test_scan_counts_only_improved_evictions(self):
+        # The naive region records its evictions and skips them; the
+        # improved one keeps no record, so the scan sees the evicted box.
+        for region_class, expected in ((NaiveRegion, 0.0), (SearchRegion, 10.0)):
+            reg = _region(Box((0.0, 0.0), (10.0, 10.0), (1.0, 1.0)), eps=0.5,
+                          region_class=region_class)
+            _, l_id, u_id = reg.largest_box()
+            reg.evict_pair(l_id, u_id)
+            assert max_box_size_full_scan(reg) == expected
 
     @pytest.mark.parametrize("mode", list(SizeMode))
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -436,7 +450,7 @@ class TestMaxBoxSizeBound:
                 z = tuple(-scale * d / np.linalg.norm(d))
                 s = tuple(np.minimum(np.asarray(z) + rng.uniform(0, 0.05, m), 0.0))
                 reg.apply_point(z, s, lower_only=step % 5 == 4)
-            assert reg.max_box_size_full_scan() <= reg.max_box_size_bound()
+            assert max_box_size_full_scan(reg) <= reg.max_box_size_bound()
         assert evicted
         if reg.largest_box() is not None:
             assert reg.max_box_size_bound() > eps
@@ -484,8 +498,7 @@ class TestArrayKernel:
 
     def _expected_children(self, region, kind, pt):
         criterion = child_criterion_upper if kind == UPPER else child_criterion_lower
-        bounds = region.upper_bounds() if kind == UPPER else region.lower_bounds()
-        parents = [b for b in bounds if self._inside(kind, b, pt, None)]
+        parents = [b for b in bound_views(region, kind) if self._inside(kind, b, pt, None)]
         return [
             (kind, b.coords[:k] + (pt[k],) + b.coords[k + 1 :])
             for b in sorted(parents, key=lambda b: b.id)
@@ -494,8 +507,8 @@ class TestArrayKernel:
         ]
 
     def _check_defining(self, region, applied):
-        for kind, bounds in ((LOWER, region.lower_bounds()), (UPPER, region.upper_bounds())):
-            for b in bounds:
+        for kind in (LOWER, UPPER):
+            for b in bound_views(region, kind):
                 for j, group in enumerate(b.defining):
                     expected = {
                         d for d in applied[kind]
@@ -546,7 +559,7 @@ class TestArrayKernel:
         scale = np.array([0.7, 1.3, 3.1, 0.9, 2.2, 1.7][:m])
         box = Box((0.0,) * m, tuple(scale), tuple(scale))
         improved = _region(box, eps=0.04, mode=mode)
-        naive = _region(box, eps=0.04, strategy=Strategy.NAIVE, mode=mode)
+        naive = _region(box, eps=0.04, region_class=NaiveRegion, mode=mode)
         applied = {LOWER: set(), UPPER: set()}
         for item in self._sequence(rng, m, tied):
             if item is None:
@@ -561,7 +574,7 @@ class TestArrayKernel:
             z, s, lower_only = item
             z = tuple((z * scale).tolist())
             s = tuple((s * scale).tolist())
-            before = set(improved.bounds)
+            before = {b.id for b in _all_bounds(improved)}
             expected = self._expected_children(improved, LOWER, s)
             if not lower_only:
                 expected += self._expected_children(improved, UPPER, z)
@@ -571,14 +584,14 @@ class TestArrayKernel:
             if not lower_only:
                 applied[UPPER].add(z)
 
-            new = [b for i, b in sorted(improved.bounds.items()) if i not in before]
+            new = [b for b in _all_bounds(improved) if b.id not in before]
             assert [(b.kind, b.coords) for b in new] == expected
             for kind in (LOWER, UPPER):
                 got = improved.coordinate_set(kind)
                 assert got == naive.coordinate_set(kind)
                 assert got == bounds_oracle(box, applied[kind], kind)
             self._check_defining(improved, applied)
-            improved.check_indices()
+            check_indices(improved)
 
         if tied:
             assert improved._stores[UPPER].defining.shape[2] >= 3
