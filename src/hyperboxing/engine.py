@@ -44,6 +44,14 @@ class SessionError(RuntimeError):
     """Operation on a closed session."""
 
 
+def _check_limits(epsilon: float, max_iterations: int) -> None:
+    """Refuse a target quality that is not > 0 (NaN included) or a cap below 1."""
+    if not epsilon > 0:
+        raise ValueError(f"target approximation quality must be > 0, got {epsilon}")
+    if max_iterations < 1:
+        raise ValueError("iteration cap must be at least 1")
+
+
 @dataclass
 class RunConfig:
     problem: ProblemSpec
@@ -54,10 +62,9 @@ class RunConfig:
     grid_resolution: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"target approximation quality must be > 0, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ValueError("iteration cap must be at least 1")
+        _check_limits(self.epsilon, self.max_iterations)
+        if self.grid_resolution is not None and self.grid_resolution < 2:
+            raise ValueError(f"grid resolution must be at least 2, got {self.grid_resolution}")
 
 
 @dataclass
@@ -112,10 +119,7 @@ class Session:
         strategy: Strategy = Strategy.IMPROVED,
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
     ):
-        if epsilon <= 0:
-            raise ValueError(f"target approximation quality must be > 0, got {epsilon}")
-        if max_iterations < 1:
-            raise ValueError("iteration cap must be at least 1")
+        _check_limits(epsilon, max_iterations)
         self.strategy = Strategy(strategy)
         region_class = SearchRegion if self.strategy == Strategy.IMPROVED else NaiveRegion
         self.region = region_class(start_box, epsilon, mode)

@@ -248,13 +248,9 @@ def _patched_axis_intervals() -> tuple[tuple[float, float], tuple[float, float]]
     return (0.0, x_p), (x_r, x_star)
 
 
-def _patched_h_peak() -> float:
-    (_, _), (_, x_star) = _patched_axis_intervals()
-    return float(_patched_h(np.array([x_star]))[0])
-
-
 def _make_patched() -> ProblemSpec:
-    h_max = _patched_h_peak()
+    bands = _patched_axis_intervals()
+    h_max = float(_patched_h(np.array([bands[1][1]]))[0])
 
     def evaluate_batch(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -265,7 +261,6 @@ def _make_patched() -> ProblemSpec:
         x = np.asarray(x, dtype=float)
         return ((x >= 0.0) & (x <= 1.0)).all(axis=1)
 
-    bands = _patched_axis_intervals()
     lengths = np.array([hi - lo for lo, hi in bands])
 
     def _draw_axis(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .geometry import Box, Point, SizeMode, box_measures, selection_key, strictly_less
+from .geometry import Box, Point, box_measures, selection_key, strictly_less
 from .search_region import LOWER, UPPER, RegionBase, SearchRegion
 
 #: Sentinel defining entry for components inherited from the start box.
@@ -29,10 +29,6 @@ SCAN_BLOCK = 65_536
 
 class NaiveRegion(RegionBase):
     """The sets L and U, split by full replacement and searched by full scans."""
-
-    def __init__(self, start_box: Box, epsilon: float, mode: SizeMode = SizeMode.ABSOLUTE):
-        super().__init__(start_box, epsilon, mode)
-        self._evicted: set[tuple[int, int]] = set()
 
     def _split(self, kind: str, pt: Point) -> None:
         m = self.m
@@ -60,10 +56,6 @@ class NaiveRegion(RegionBase):
         # Rows are unique and each covers itself, so a second hit is a sibling.
         keep &= ~_covered(mirrored, mirrored, 1)
         self._append(kind, children[keep].T)
-
-    def evict_pair(self, l_id: int, u_id: int) -> None:
-        """Permanently drop one box from consideration (stall handling)."""
-        self._evicted.add((l_id, u_id))
 
     def largest_box(self):
         """The largest remaining box as (Box, l_id, u_id), or None; by a full scan."""
@@ -166,12 +158,10 @@ def _active_evictions(evicted: set, l_ids, u_ids):
 def max_box_size_full_scan(region: RegionBase) -> float:
     """Largest box size left in L x U, by brute force.
 
-    A naive region's evicted pairs are left out, as its selection leaves them
-    out.  The improved region keeps no record of its evictions, so its scan
-    counts them, as its certified bound does.
+    Evicted pairs are left out, as both regions' selection leaves them out;
+    the boxes that split off them are counted.
     """
-    evicted = region._evicted if isinstance(region, NaiveRegion) else set()
-    result = _largest_box_scan(region, 0.0, evicted)
+    result = _largest_box_scan(region, 0.0, region._evicted)
     if result is None:
         return 0.0
     box, _, _ = result
@@ -250,8 +240,8 @@ def check_indices(region: SearchRegion) -> None:
     """Assert the opposing indices match a brute-force recomputation.
 
     Every pair (l, u) with l < u and a box above epsilon must be indexed, in
-    both maps.  Evictions leave no record, so this holds only for a region
-    that has evicted no pair.
+    both maps.  This holds after evictions too: an evicted pair stays indexed,
+    and only selection skips it.
     """
     uppers = bound_views(region, UPPER)
     for l in bound_views(region, LOWER):

@@ -130,7 +130,7 @@ class GridScalarizer:
         if problem.decision_box is None:
             raise ValueError(f"problem {problem.name} has no decision box")
         self.problem = problem
-        self.resolution = int(resolution or problem.default_grid_resolution)
+        self.resolution = int(problem.default_grid_resolution if resolution is None else resolution)
         if self.resolution < 2:
             raise ValueError("grid resolution must be at least 2")
         self._lo = np.array([lo for lo, _ in problem.decision_box])

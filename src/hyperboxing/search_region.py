@@ -10,7 +10,10 @@ scan.  The largest box of a pair dropped at or below the threshold, or
 evicted, is kept instead, and bounds every box left in L x U.
 
 :mod:`hyperboxing.reference` holds the naive baseline and the brute-force
-checks; both regions build on :class:`RegionBase`.
+checks; both regions build on :class:`RegionBase`, which also holds the one
+eviction rule: evicting a pair excludes exactly that ``(l_id, u_id)`` pair
+from selection.  The boxes that later split off it are kept and probed like
+any others, so both regions select the same boxes after a solver miss too.
 """
 
 from __future__ import annotations
@@ -175,7 +178,8 @@ class RegionBase:
     """
 
     def __init__(self, start_box: Box, epsilon: float, mode: SizeMode = SizeMode.ABSOLUTE):
-        if epsilon < 0:
+        # Written as not(>=) so that a NaN is refused too.
+        if not epsilon >= 0:
             raise ValueError(f"pruning threshold must be non-negative, got {epsilon}")
         self.m = start_box.dim
         self.epsilon = float(epsilon)
@@ -185,6 +189,7 @@ class RegionBase:
         self.scale = effective_scale(start_box.scale, self.mode)
         self._next_id = 0
         self._stores = {LOWER: _Store(LOWER, self.m), UPPER: _Store(UPPER, self.m)}
+        self._evicted: set[tuple[int, int]] = set()
         self._append(LOWER, np.array(start_box.lower, dtype=float)[:, None])
         self._append(UPPER, np.array(start_box.upper, dtype=float)[:, None])
 
@@ -201,6 +206,10 @@ class RegionBase:
     def coordinate_set(self, kind: str) -> set[Point]:
         coords, _ = self._stores[kind].live_view()
         return set(map(tuple, coords.T.tolist()))
+
+    def evict_pair(self, l_id: int, u_id: int) -> None:
+        """Exclude the box of exactly this pair from selection (stall handling)."""
+        self._evicted.add((l_id, u_id))
 
     def apply_point(self, z, s, lower_only: bool = False) -> None:
         """Ingest a new representation point z with its shifted point s = z + lambda.
@@ -361,11 +370,12 @@ class SearchRegion(RegionBase):
         own_opp.update(fresh)
 
     def evict_pair(self, l_id: int, u_id: int) -> None:
-        """Permanently drop one box from consideration (stall handling)."""
+        """Record the pair as :meth:`RegionBase.evict_pair` does; it stays indexed.
+
+        Its size counts towards :meth:`max_box_size_bound`.
+        """
+        super().evict_pair(l_id, u_id)
         if u_id in self.opp_upper.get(l_id, ()):
-            self.opp_upper[l_id].discard(u_id)
-            self.opp_lower[u_id].discard(l_id)
-            self._live_pairs -= 1
             lower = self._stores[LOWER].coords_of(l_id)
             upper = self._stores[UPPER].coords_of(u_id)
             self._settled = max(self._settled, box_measures(lower, upper, self.scale)[0])
@@ -377,8 +387,7 @@ class SearchRegion(RegionBase):
         """
         while self._heap:
             _, _, _, l_id, u_id = self._heap[0]
-            opp = self.opp_upper.get(l_id)
-            if opp is not None and u_id in opp:
+            if u_id in self.opp_upper.get(l_id, ()) and (l_id, u_id) not in self._evicted:
                 lower = self._stores[LOWER].coords_of(l_id)
                 upper = self._stores[UPPER].coords_of(u_id)
                 return Box(lower, upper, self.start_scale), l_id, u_id

@@ -51,9 +51,22 @@ class TestRunCommand:
         assert rows == report.points
 
     def test_invalid_epsilon_exits_2(self, capsys):
-        code = run_cli("run", "--problem", "sphere", "--epsilon", "-1")
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        for epsilon in ("-1", "nan"):
+            code = run_cli("run", "--problem", "sphere", "--epsilon", epsilon)
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_bad_grid_resolution_exits_2(self, capsys, command):
+        for resolution in ("0", "1"):
+            code = run_cli(command, "--problem", "patched", "--epsilon", "0.3",
+                           "--grid-resolution", resolution)
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: grid resolution") and "Traceback" not in err
 
     def test_unknown_problem_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -190,7 +203,8 @@ class TestServeCommand:
         assert report["finalMaxBoxSize"] == session.final_max_box_size() <= 0.3
 
     @pytest.mark.parametrize(
-        "limits", [["--epsilon", "0"], ["--epsilon", "0.3", "--max-iterations", "0"]]
+        "limits",
+        [["--epsilon", "0"], ["--epsilon", "0.3", "--max-iterations", "0"], ["--epsilon", "nan"]],
     )
     def test_bad_limit_exits_2(self, tmp_path, capsys, limits):
         box_file = tmp_path / "box.json"

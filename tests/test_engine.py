@@ -19,6 +19,7 @@ from hyperboxing.geometry import Box, SizeMode, box_measures
 from hyperboxing.problems import make_problem, nondominated_mask
 from hyperboxing.scalarization import (
     ContractError,
+    GridScalarizer,
     NoIntersection,
     ProtocolError,
     PSSolution,
@@ -32,12 +33,37 @@ def sphere_config(m=2, epsilon=0.25, **kwargs):
     return RunConfig(make_problem("sphere", m), epsilon, **kwargs)
 
 
+def miss_queries(monkeypatch, misses):
+    """Make the in-process backend raise NoIntersection on the given query ids."""
+    make_backend = engine.make_backend
+
+    def missing_backend(config):
+        solve = make_backend(config)
+
+        def answer(query):
+            if query.query_id in misses:
+                raise NoIntersection(f"query {query.query_id}")
+            return solve(query)
+
+        return answer
+
+    monkeypatch.setattr(engine, "make_backend", missing_backend)
+
+
 class TestRunConfig:
     def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError):
-            sphere_config(epsilon=0.0)
-        with pytest.raises(ValueError):
-            sphere_config(epsilon=-0.1)
+        for epsilon in (0.0, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                sphere_config(epsilon=epsilon)
+
+    def test_rejects_grid_resolution_below_2(self):
+        for resolution in (0, 1):
+            with pytest.raises(ValueError, match="grid resolution"):
+                RunConfig(make_problem("patched"), 0.3, grid_resolution=resolution)
+        assert RunConfig(make_problem("patched"), 0.3, grid_resolution=2).grid_resolution == 2
+        # Only None selects the problem's default resolution.
+        with pytest.raises(ValueError, match="grid resolution"):
+            GridScalarizer(make_problem("patched"), 0)
 
     def test_rejects_zero_iteration_cap(self):
         with pytest.raises(ValueError):
@@ -124,6 +150,12 @@ class TestSession:
     def start(self, epsilon=0.3):
         box = Box((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0))
         return Session(box, epsilon)
+
+    def test_rejects_bad_limits(self):
+        box = Box((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0))
+        for epsilon, max_iterations in ((0.0, 10), (math.nan, 10), (0.3, 0)):
+            with pytest.raises(ValueError):
+                Session(box, epsilon, max_iterations=max_iterations)
 
     def test_next_query_idempotent_until_submit(self):
         session = self.start(epsilon=0.2)
@@ -284,19 +316,7 @@ class TestFinalMaxBoxSize:
 
     def test_evicted_boxes_bound_what_remains(self, monkeypatch, reported_sessions):
         misses = {1, 4, 9}
-        make_backend = engine.make_backend
-
-        def missing_backend(config):
-            solve = make_backend(config)
-
-            def answer(query):
-                if query.query_id in misses:
-                    raise NoIntersection(f"query {query.query_id}")
-                return solve(query)
-
-            return answer
-
-        monkeypatch.setattr(engine, "make_backend", missing_backend)
+        miss_queries(monkeypatch, misses)
         report = run_representation(sphere_config(m=3, epsilon=0.1))
         (session,) = reported_sessions
         scan = max_box_size_full_scan(session.region)
@@ -332,6 +352,14 @@ class TestCompareStrategies:
         config = RunConfig(make_problem("patched"), 0.2)
         comparison = compare_strategies(config)
         assert comparison.identical_sequences
+
+    @pytest.mark.parametrize("m, epsilon", [(3, 0.1), (4, 0.25)])
+    def test_identical_sequences_after_solver_misses(self, monkeypatch, m, epsilon):
+        # Each miss evicts exactly the queried pair in both strategies.
+        miss_queries(monkeypatch, {1, 4, 9, 17, 30})
+        comparison = compare_strategies(sphere_config(m=m, epsilon=epsilon))
+        assert comparison.identical_sequences
+        assert comparison.naive.stalled_boxes == comparison.improved.stalled_boxes == 5
 
     def test_ratio_fields_positive(self):
         comparison = compare_strategies(sphere_config())

@@ -62,8 +62,10 @@ class TestInitRegion:
         assert reg.largest_box() is not None
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            _region(_unit_box(2), eps=-0.5)
+        for eps in (-0.5, float("nan")):
+            for region_class in REGION_CLASSES:
+                with pytest.raises(ValueError):
+                    _region(_unit_box(2), eps=eps, region_class=region_class)
 
     def test_start_bounds_all_virtual(self):
         reg = _region(_unit_box(3), eps=0.1)
@@ -411,23 +413,29 @@ class TestMaxBoxSizeBound:
         assert reg.max_box_size_bound() == 1.0 == max_box_size_full_scan(reg)
 
     def test_evicted_pair_bounds_its_sub_boxes(self):
-        reg = _region(Box((0.0, 0.0), (10.0, 10.0), (1.0, 1.0)), eps=0.5)
-        _, l_id, u_id = reg.largest_box()
-        reg.evict_pair(l_id, u_id)
-        reg.apply_point((5.0, 5.0), (5.0, 5.0))
-        # The scan finds the sub-boxes of the evicted start box.
-        assert max_box_size_full_scan(reg) == 5.0
-        assert reg.max_box_size_bound() == 10.0
-
-    def test_scan_counts_only_improved_evictions(self):
-        # The naive region records its evictions and skips them; the
-        # improved one keeps no record, so the scan sees the evicted box.
-        for region_class, expected in ((NaiveRegion, 0.0), (SearchRegion, 10.0)):
+        # Evicting the start pair excludes that pair alone, so both regions
+        # go on to select a box that split off it.  Only the improved
+        # region's certified bound still counts the evicted box.
+        for region_class, bound in ((NaiveRegion, 5.0), (SearchRegion, 10.0)):
             reg = _region(Box((0.0, 0.0), (10.0, 10.0), (1.0, 1.0)), eps=0.5,
                           region_class=region_class)
             _, l_id, u_id = reg.largest_box()
             reg.evict_pair(l_id, u_id)
-            assert max_box_size_full_scan(reg) == expected
+            reg.apply_point((5.0, 5.0), (5.0, 5.0))
+            box, _, _ = reg.largest_box()
+            assert (box.lower, box.upper) == ((5.0, 0.0), (10.0, 5.0))
+            assert max_box_size_full_scan(reg) == 5.0
+            assert reg.max_box_size_bound() == bound
+        check_indices(reg)  # the improved region, from the last round
+
+    def test_scan_skips_evictions_in_both_regions(self):
+        for region_class in REGION_CLASSES:
+            reg = _region(Box((0.0, 0.0), (10.0, 10.0), (1.0, 1.0)), eps=0.5,
+                          region_class=region_class)
+            _, l_id, u_id = reg.largest_box()
+            reg.evict_pair(l_id, u_id)
+            assert max_box_size_full_scan(reg) == 0.0
+            assert reg.largest_box() is None
 
     @pytest.mark.parametrize("mode", list(SizeMode))
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -437,20 +445,29 @@ class TestMaxBoxSizeBound:
         box = Box(tuple(-scale), (0.0,) * m, tuple(scale))
         eps = 0.15
         reg = _region(box, eps=eps, mode=mode)
+        # The naive region runs in lockstep: both select the same boxes,
+        # after evictions too.
+        naive = _region(box, eps=eps, region_class=NaiveRegion, mode=mode)
         evicted = False
         for step in range(40):
-            pick = reg.largest_box()
+            pick, naive_pick = reg.largest_box(), naive.largest_box()
             if pick is None:
+                assert naive_pick is None
                 break
+            assert pick[0] == naive_pick[0]
             if step % 7 == 3:
                 reg.evict_pair(*pick[1:])
+                naive.evict_pair(*naive_pick[1:])
                 evicted = True
             else:
                 d = np.abs(rng.normal(size=m))
                 z = tuple(-scale * d / np.linalg.norm(d))
                 s = tuple(np.minimum(np.asarray(z) + rng.uniform(0, 0.05, m), 0.0))
                 reg.apply_point(z, s, lower_only=step % 5 == 4)
-            assert max_box_size_full_scan(reg) <= reg.max_box_size_bound()
+                naive.apply_point(z, s, lower_only=step % 5 == 4)
+            check_indices(reg)
+            scan = max_box_size_full_scan(reg)
+            assert scan == max_box_size_full_scan(naive) <= reg.max_box_size_bound()
         assert evicted
         if reg.largest_box() is not None:
             assert reg.max_box_size_bound() > eps
