@@ -23,7 +23,7 @@ class SizeMode(str, Enum):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-parallel box [lower, upper] with strictly positive edge lengths.
+    """Axis-parallel box [lower, upper] with finite corners and strictly positive edges.
 
     ``scale`` carries the start-box extents so that relative sizes can be
     computed for any descendant box.
@@ -36,6 +36,10 @@ class Box:
     def __post_init__(self):
         if not (len(self.lower) == len(self.upper) == len(self.scale)):
             raise ValueError("box corners and scale must share one dimension")
+        if not self.lower:
+            raise ValueError("box needs at least one dimension")
+        if not all(map(math.isfinite, (*self.lower, *self.upper))):
+            raise ValueError("box corners must be finite")
         if not all(l < u for l, u in zip(self.lower, self.upper)):
             raise ValueError("box requires lower < upper in every component")
         if not all(s > 0 for s in self.scale):

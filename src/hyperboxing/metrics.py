@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Point
 from .problems import ProblemSpec
@@ -60,8 +59,7 @@ def covering_slack(front_samples) -> float:
     S = np.atleast_2d(np.asarray(front_samples, dtype=float))
     if len(S) < 2:
         return 0.0
-    dists, _ = cKDTree(S).query(S, k=2)
-    return float(dists[:, 1].max())
+    return float(_nearest_distances(S).max())
 
 
 def uniformity(points) -> float | None:
@@ -69,8 +67,15 @@ def uniformity(points) -> float | None:
     Z = np.atleast_2d(np.asarray(points, dtype=float))
     if len(Z) < 2:
         return None
-    dists, _ = cKDTree(Z).query(Z, k=2)
-    return float(dists[:, 1].min())
+    return float(_nearest_distances(Z).min())
+
+
+def _nearest_distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of X to its nearest other row."""
+    # scipy is imported here alone, so importing the package does not load it.
+    from scipy.spatial import cKDTree
+
+    return cKDTree(X).query(X, k=2)[0][:, 1]
 
 
 def quality_summary(points, spec: ProblemSpec, n: int, seed: int = 0) -> QualityReport:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import Point
 
@@ -226,30 +225,19 @@ def _patched_h(x: np.ndarray) -> np.ndarray:
     return x * (1.0 + np.sin(3.0 * math.pi * x))
 
 
-def _patched_dh(x: float) -> float:
-    w = 3.0 * math.pi * x
-    return 1.0 + math.sin(w) + 3.0 * math.pi * x * math.cos(w)
-
-
-def _patched_axis_intervals() -> tuple[tuple[float, float], tuple[float, float]]:
-    """Per-axis pieces on which h strictly exceeds its running maximum.
-
-    h rises to a local peak at x_p, dips, and only regains that level at
-    x_r before climbing to its global maximum x*.  A coordinate value
-    outside [0, x_p] | [x_r, x*] is dominated through the third objective
-    by some smaller coordinate, so the efficient set of the problem is
-    exactly the product of these two bands.
-    """
-    x_p = brentq(_patched_dh, 0.2, 0.3, xtol=1e-14)
-    x_star = brentq(_patched_dh, 0.8, 0.9, xtol=1e-14)
-    h = _patched_h
-    x_r = brentq(lambda x: float(h(np.array([x]))[0] - h(np.array([x_p]))[0]),
-                 0.5, x_star, xtol=1e-14)
-    return (0.0, x_p), (x_r, x_star)
+#: Per-axis pieces [0, x_p] and [x_r, x*] on which h strictly exceeds its
+#: running maximum.  h rises to a local peak at x_p, dips, and only regains
+#: that level at x_r before climbing to its global maximum x*.  A coordinate
+#: value outside the pieces is dominated through the third objective by some
+#: smaller coordinate, so the efficient set of the problem is exactly the
+#: product of these two bands.  x_p and x* are the roots of h' in [0.2, 0.3]
+#: and [0.8, 0.9], x_r the root of h(x) = h(x_p) in [0.5, x*], each found by
+#: Brent's method to 1e-14.
+_PATCHED_BANDS = ((0.0, 0.25141183608891715), (0.6316265307000614, 0.8594008566447239))
 
 
 def _make_patched() -> ProblemSpec:
-    bands = _patched_axis_intervals()
+    bands = _PATCHED_BANDS
     h_max = float(_patched_h(np.array([bands[1][1]]))[0])
 
     def evaluate_batch(x: np.ndarray) -> np.ndarray:

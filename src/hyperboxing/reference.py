@@ -4,7 +4,8 @@
 component children, keeps the minimal (lower) or maximal (upper) ones, and
 selects boxes by a scan of L x U.  It is the baseline that the improved
 :class:`~hyperboxing.search_region.SearchRegion` is measured against, and an
-independent check of it: both hold the same bounds and select the same boxes.
+independent check of it: the improved region holds those of the naive
+region's bounds that have a partner, and both select the same boxes.
 The functions below recompute what a region holds by brute force or, for the
 creation criterion, in scalar form over :class:`Bound` views.
 """
@@ -241,8 +242,13 @@ def check_indices(region: SearchRegion) -> None:
 
     Every pair (l, u) with l < u and a box above epsilon must be indexed, in
     both maps.  This holds after evictions too: an evicted pair stays indexed,
-    and only selection skips it.
+    and only selection skips it.  The region stores exactly the bounds that
+    have a partner.
     """
+    for kind, opp in ((LOWER, region.opp_upper), (UPPER, region.opp_lower)):
+        stored = set(region._stores[kind].live_view()[1].tolist())
+        if set(opp) != stored or not all(opp.values()):
+            raise AssertionError(f"stored {kind} bounds differ from those with partners")
     uppers = bound_views(region, UPPER)
     for l in bound_views(region, LOWER):
         expected = set()

@@ -9,6 +9,13 @@ indexed per bound and kept in a lazy max-heap, so the largest box needs no
 scan.  The largest box of a pair dropped at or below the threshold, or
 evicted, is kept instead, and bounds every box left in L x U.
 
+L and U hold only the bounds with a partner: an opposing bound whose box
+exceeds the threshold.  The point sequence cannot change.  A pair forms only
+between a child and its parent's partners, so a bound without a partner, and
+each of its descendants, never gains one; defining sets hold points, not
+bounds; and a selected pair whose bounds were both left unsplit stays
+indexed, so the stall test of ``engine.Session`` still finds both.
+
 :mod:`hyperboxing.reference` holds the naive baseline and the brute-force
 checks; both regions build on :class:`RegionBase`, which also holds the one
 eviction rule: evicting a pair excludes exactly that ``(l_id, u_id)`` pair
@@ -42,11 +49,6 @@ UPPER = "upper"
 #: more than this many rows.
 COMPACT_MIN_ROWS = 512
 
-#: Opposing set shared by every bound created without a partner.  Pairs only
-#: form between a new child and its parent's partners, so such a bound never
-#: gains one, and the set is never written.
-NO_PARTNERS: frozenset[int] = frozenset()
-
 
 class _Store:
     """The bounds of one kind as column-major arrays with tombstones.
@@ -73,14 +75,14 @@ class _Store:
         self.n = 0
         self.live = 0
 
-    def append(self, first_id: int, coords: np.ndarray, defining=None) -> None:
-        """Add the columns of coords (m, k) as bounds first_id, first_id + 1, ..."""
+    def append(self, ids, coords: np.ndarray, defining=None) -> None:
+        """Add the columns of coords (m, k) as the bounds ids, ascending past every stored id."""
         k = coords.shape[1]
         if self.n + k > len(self.ids):
             self._grow(self.n + k)
         rows = slice(self.n, self.n + k)
         self.coords[:, rows] = coords
-        self.ids[rows] = np.arange(first_id, first_id + k)
+        self.ids[rows] = ids
         self.alive[rows] = True
         self.defining[rows] = -1 if defining is None else defining
         self.n += k
@@ -193,17 +195,18 @@ class RegionBase:
         self._append(LOWER, np.array(start_box.lower, dtype=float)[:, None])
         self._append(UPPER, np.array(start_box.upper, dtype=float)[:, None])
 
-    def _append(self, kind: str, coords: np.ndarray, defining=None) -> range:
-        """Store the columns of coords as new bounds; returns their ids."""
-        first = self._next_id
-        self._next_id += coords.shape[1]
-        self._stores[kind].append(first, coords, defining)
-        return range(first, self._next_id)
+    def _new_ids(self, k: int) -> range:
+        self._next_id += k
+        return range(self._next_id - k, self._next_id)
+
+    def _append(self, kind: str, coords: np.ndarray, defining=None) -> None:
+        self._stores[kind].append(self._new_ids(coords.shape[1]), coords, defining)
 
     def contains_bound(self, bid: int) -> bool:
         return any(store.contains(bid) for store in self._stores.values())
 
     def coordinate_set(self, kind: str) -> set[Point]:
+        """The stored bounds of one kind; in a :class:`SearchRegion`, those with a partner."""
         coords, _ = self._stores[kind].live_view()
         return set(map(tuple, coords.T.tolist()))
 
@@ -234,8 +237,8 @@ class SearchRegion(RegionBase):
 
     def __init__(self, start_box: Box, epsilon: float, mode: SizeMode = SizeMode.ABSOLUTE):
         super().__init__(start_box, epsilon, mode)
-        self.opp_upper: dict[int, set[int]] = {0: NO_PARTNERS}
-        self.opp_lower: dict[int, set[int]] = {1: NO_PARTNERS}
+        self.opp_upper: dict[int, set[int]] = {}
+        self.opp_lower: dict[int, set[int]] = {}
         self._heap: list = []
         self._live_pairs = 0
         # Largest size of a pair dropped at or below epsilon or evicted.
@@ -244,6 +247,9 @@ class SearchRegion(RegionBase):
         for l_id, u_id in zip(*self._push_pairs(lower, upper, [0], [1])):
             self.opp_upper[l_id] = {u_id}
             self.opp_lower[u_id] = {l_id}
+        if not self._live_pairs:  # a start box at most epsilon leaves no partners
+            for store in self._stores.values():
+                store.kill(np.array([0]))
 
     def apply_point(self, z, s, lower_only: bool = False) -> None:
         """Split as :meth:`RegionBase.apply_point` does, then compact the heap."""
@@ -299,7 +305,9 @@ class SearchRegion(RegionBase):
         non-virtual component j, some point d defining j has pt beyond d in
         component k; this is ``reference.child_criterion_upper`` (or ``_lower``)
         written without extrema.  A child inherits the defining points that
-        pass the same test in its k and is defined by pt alone in k.
+        pass the same test in its k and is defined by pt alone in k.  Only the
+        children that pair with one of their parent's partners are stored,
+        and a partner left without any pair is dropped.
         """
         store = self._stores[kind]
         rows, tie_rows, tie_cols = store.scan(pt)
@@ -326,16 +334,14 @@ class SearchRegion(RegionBase):
         child_defining[new, ks] = -1
         child_defining[new, ks, 0] = idx
         parent_ids = store.ids[rows].tolist()
-        # One int object per new id, shared by the index maps and the heap.
-        child_ids = list(self._append(kind, child_cols, child_defining))
         store.kill(rows)
+        ids = self._new_ids(len(pa))  # every child takes an id, stored or not
 
         if kind == LOWER:
             own_opp, other_opp, other = self.opp_upper, self.opp_lower, self._stores[UPPER]
         else:
             own_opp, other_opp, other = self.opp_lower, self.opp_upper, self._stores[LOWER]
         partners = [own_opp.pop(bid) for bid in parent_ids]
-        own_opp.update(dict.fromkeys(child_ids, NO_PARTNERS))
         for bid, group in zip(parent_ids, partners):
             for pid in group:
                 other_opp[pid].discard(bid)
@@ -346,8 +352,6 @@ class SearchRegion(RegionBase):
         # partners, parent by parent; rank is a pair's place in that block.
         n_children = np.bincount(pa, minlength=len(rows))
         per_parent = n_children * n_partners
-        if not per_parent.any():
-            return
         pair_parent = np.repeat(np.arange(len(rows)), per_parent)
         rank = np.arange(len(pair_parent)) - (np.cumsum(per_parent) - per_parent)[pair_parent]
         width = n_partners[pair_parent]
@@ -358,7 +362,8 @@ class SearchRegion(RegionBase):
         partner_cols = other.coords.take(partner_rows, axis=1)
         partner_ids = np.array(all_partners, dtype=object)[partner]
         pair_cols = child_cols.take(child, axis=1)
-        new_ids = np.array(child_ids, dtype=object)[child]
+        # One int object per new id, shared by the index maps and the heap.
+        new_ids = np.array(ids, dtype=object)[child]
         if kind == LOWER:
             mine, theirs = self._push_pairs(pair_cols, partner_cols, new_ids, partner_ids)
         else:
@@ -368,6 +373,15 @@ class SearchRegion(RegionBase):
             fresh[c].add(p)
             other_opp[p].add(c)
         own_opp.update(fresh)
+        keep = np.array(sorted(fresh), dtype=np.int64) - ids.start
+        store.append(ids.start + keep, child_cols[:, keep], child_defining[keep])
+        # Only now, with the children's pairs in place, is a partner known to
+        # be left without any; it can never gain one again.
+        widowed = [pid for pid in set(all_partners) if not other_opp[pid]]
+        if widowed:
+            for pid in widowed:
+                del other_opp[pid]
+            other.kill(other.rows_of(np.array(widowed, dtype=np.int64)))
 
     def evict_pair(self, l_id: int, u_id: int) -> None:
         """Record the pair as :meth:`RegionBase.evict_pair` does; it stays indexed.

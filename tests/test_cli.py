@@ -226,6 +226,18 @@ class TestServeCommand:
         assert proc.returncode == 2
         assert "bad start box" in proc.stderr
 
+    @pytest.mark.parametrize("box", ['{"l0": [0, 0], "u0": [1, Infinity]}',
+                                     '{"l0": [0, NaN], "u0": [1, 1]}',
+                                     '{"l0": [], "u0": []}'])
+    def test_degenerate_start_box_exits_2(self, tmp_path, capsys, box):
+        box_file = tmp_path / "box.json"
+        box_file.write_text(box)
+        code = run_cli("serve", "--epsilon", "0.3", "--start-box", str(box_file))
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad start box file: ")
+
     def test_malformed_solver_line_exits_1(self, tmp_path):
         answer = lambda q: "this is not json"
         proc, _, _ = self.serve(

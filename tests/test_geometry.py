@@ -58,6 +58,17 @@ class TestBox:
         with pytest.raises(ValueError):
             Box((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_corner_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Box((0.0, 0.0), (1.0, bad), (1.0, 1.0))
+        with pytest.raises(ValueError):
+            Box((bad, 0.0), (1.0, 1.0), (1.0, 1.0))
+
+    def test_zero_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            Box((), (), ())
+
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             Box((0.0, 0.0), (1.0, 1.0), (1.0, 0.0))

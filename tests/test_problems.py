@@ -1,10 +1,13 @@
 """Test problem definitions, start-box corners and front samplers."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from hyperboxing import problems
 from hyperboxing.problems import (
     PROBLEM_NAMES,
     UnsupportedProblem,
@@ -164,3 +167,37 @@ class TestFrontSamplers:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             make_problem("sphere", 2).sample_front(0)
+
+
+class TestPatchedBands:
+    def test_roots_match_brentq(self):
+        from scipy.optimize import brentq
+
+        def dh(x):
+            w = 3.0 * math.pi * x
+            return 1.0 + math.sin(w) + 3.0 * math.pi * x * math.cos(w)
+
+        def h(x):
+            return float(problems._patched_h(np.array([x]))[0])
+
+        x_p = brentq(dh, 0.2, 0.3, xtol=1e-14)
+        x_star = brentq(dh, 0.8, 0.9, xtol=1e-14)
+        x_r = brentq(lambda x: h(x) - h(x_p), 0.5, x_star, xtol=1e-14)
+        (lo, p), (r, star) = problems._PATCHED_BANDS
+        assert lo == 0.0
+        assert (p, r, star) == pytest.approx((x_p, x_r, x_star), rel=0, abs=1e-13)
+
+
+def test_scipy_loaded_only_where_used():
+    # Building any problem and importing the CLI must not load scipy: it is
+    # needed only by the quality metrics.
+    code = (
+        "import sys, hyperboxing, hyperboxing.cli\n"
+        "from hyperboxing.problems import PROBLEM_NAMES, make_problem\n"
+        "for name in PROBLEM_NAMES:\n"
+        "    make_problem(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyperboxing import reference, search_region
-from hyperboxing.geometry import Box, SizeMode, box_measures, selection_key
+from hyperboxing.geometry import Box, SizeMode, box_measures, selection_key, strictly_less
 from hyperboxing.reference import (
     VIRTUAL,
     Bound,
@@ -35,6 +35,23 @@ def _all_bounds(region):
     """Every live bound of the region as a view, in id order."""
     views = bound_views(region, LOWER) + bound_views(region, UPPER)
     return sorted(views, key=lambda b: b.id)
+
+
+def _partnered(lowers, uppers, region):
+    """The bounds among lowers and uppers with an opposing one whose box exceeds epsilon."""
+    pairs = [(l, u) for l in lowers for u in uppers
+             if strictly_less(l, u) and box_measures(l, u, region.scale)[0] > region.epsilon]
+    return {LOWER: {l for l, _ in pairs}, UPPER: {u for _, u in pairs}}
+
+
+def _assert_oracle_bounds(region, box, lower_points, upper_points):
+    """A naive region holds the oracle's bounds, an improved one those with a partner."""
+    full = {LOWER: bounds_oracle(box, lower_points, LOWER),
+            UPPER: bounds_oracle(box, upper_points, UPPER)}
+    if isinstance(region, SearchRegion):
+        full = _partnered(full[LOWER], full[UPPER], region)
+    for kind in (LOWER, UPPER):
+        assert region.coordinate_set(kind) == full[kind]
 
 
 def _apply_all(region, points):
@@ -230,8 +247,7 @@ class TestOracleEquivalence:
             for region_class in REGION_CLASSES:
                 reg = _region(box, region_class=region_class)
                 _apply_all(reg, pts)
-                for kind in (LOWER, UPPER):
-                    assert reg.coordinate_set(kind) == bounds_oracle(box, pts, kind)
+                _assert_oracle_bounds(reg, box, pts, pts)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_points_with_shared_coordinates(self, m):
@@ -247,8 +263,7 @@ class TestOracleEquivalence:
             for region_class in REGION_CLASSES:
                 reg = _region(box, region_class=region_class)
                 _apply_all(reg, pts)
-                for kind in (LOWER, UPPER):
-                    assert reg.coordinate_set(kind) == bounds_oracle(box, pts, kind)
+                _assert_oracle_bounds(reg, box, pts, pts)
 
     def test_degenerate_five_dimensional_sequence(self):
         # Regression: mutually nondominated points sharing exact coordinate
@@ -268,8 +283,7 @@ class TestOracleEquivalence:
         for region_class in REGION_CLASSES:
             reg = _region(box, region_class=region_class)
             _apply_all(reg, pts)
-            for kind in (LOWER, UPPER):
-                assert reg.coordinate_set(kind) == bounds_oracle(box, pts, kind)
+            _assert_oracle_bounds(reg, box, pts, pts)
 
 
 class TestDefiningConsistency:
@@ -410,7 +424,9 @@ class TestMaxBoxSizeBound:
 
     def test_start_box_at_threshold_is_settled(self):
         reg = _region(_unit_box(2), eps=1.5)
-        assert reg.max_box_size_bound() == 1.0 == max_box_size_full_scan(reg)
+        naive = _region(_unit_box(2), eps=1.5, region_class=NaiveRegion)
+        assert reg.max_box_size_bound() == 1.0 == max_box_size_full_scan(naive)
+        check_indices(reg)  # the start bounds have no partner, so neither is stored
 
     def test_evicted_pair_bounds_its_sub_boxes(self):
         # Evicting the start pair excludes that pair alone, so both regions
@@ -466,8 +482,13 @@ class TestMaxBoxSizeBound:
                 reg.apply_point(z, s, lower_only=step % 5 == 4)
                 naive.apply_point(z, s, lower_only=step % 5 == 4)
             check_indices(reg)
-            scan = max_box_size_full_scan(reg)
-            assert scan == max_box_size_full_scan(naive) <= reg.max_box_size_bound()
+            # The improved region keeps only the bounds of pairs above
+            # epsilon, so its scan agrees with the exact one while such a
+            # pair is left to select.
+            scan, exact = max_box_size_full_scan(reg), max_box_size_full_scan(naive)
+            assert scan <= exact <= reg.max_box_size_bound()
+            if exact > eps:
+                assert scan == exact
         assert evicted
         if reg.largest_box() is not None:
             assert reg.max_box_size_bound() > eps
@@ -484,23 +505,30 @@ class TestEpsilonPruning:
         reg2.apply_point((0.5, 0.5), (0.5, 0.5))
         assert reg2.largest_box() is None
 
-    def test_bounds_survive_pruning(self):
-        # Pruning drops boxes from the index, never the bounds themselves.
+    def test_pruning_drops_partnerless_bounds(self):
+        # Pruning drops boxes from the index; the improved region then drops
+        # the bounds left without a partner, while the naive one keeps them.
+        naive = _region(_unit_box(2), eps=0.55, region_class=NaiveRegion)
         reg = _region(_unit_box(2), eps=0.55)
-        reg.apply_point((0.5, 0.5), (0.5, 0.5))
-        assert reg.coordinate_set(UPPER) == {(0.5, 1.0), (1.0, 0.5)}
-        assert reg.coordinate_set(LOWER) == {(0.5, 0.0), (0.0, 0.5)}
+        for region in (naive, reg):
+            region.apply_point((0.5, 0.5), (0.5, 0.5))
+        assert naive.coordinate_set(UPPER) == {(0.5, 1.0), (1.0, 0.5)}
+        assert naive.coordinate_set(LOWER) == {(0.5, 0.0), (0.0, 0.5)}
+        assert reg.coordinate_set(UPPER) == reg.coordinate_set(LOWER) == set()
+        check_indices(reg)
 
 
 class TestArrayKernel:
     """The vectorised split against scalar references, point by point.
 
-    After every point the improved region must hold the naive region's and
-    the oracle's bound sets, brute-force opposing indices, and defining sets
-    equal to their definition: the points of that kind tied with the bound
-    in component j and strictly inside it in every other component.  The
-    children of each split parent must be those ``child_criterion_*``
-    accepts, created in (parent id, k) order.
+    After every point the naive region must hold the oracle's bound sets,
+    and the improved region those of its bounds with a partner, that is, an
+    opposing bound whose box exceeds epsilon.  The improved region must also
+    hold brute-force opposing indices, and defining sets equal to their
+    definition: the points of that kind tied with the bound in component j
+    and strictly inside it in every other component.  The children it stores
+    must be those ``child_criterion_*`` accepts that have a partner, created
+    in (parent id, k) order.
     """
 
     GRID = (0.2, 0.4, 0.6, 0.8)
@@ -582,9 +610,10 @@ class TestArrayKernel:
             if item is None:
                 # After the second point of the fan the slots have grown once;
                 # compaction must carry them along before they grow again.
+                # Dropping partnerless bounds may have compacted the store
+                # already, so it need not hold a dead row here.
                 upper = improved._stores[UPPER]
                 assert upper.defining.shape[2] == 2
-                assert not upper.alive[: upper.n].all()
                 for store in improved._stores.values():
                     store._compact()
                 continue
@@ -602,11 +631,13 @@ class TestArrayKernel:
                 applied[UPPER].add(z)
 
             new = [b for b in _all_bounds(improved) if b.id not in before]
+            oracle = {kind: bounds_oracle(box, applied[kind], kind) for kind in (LOWER, UPPER)}
+            partnered = _partnered(oracle[LOWER], oracle[UPPER], improved)
+            expected = [(kind, c) for kind, c in expected if c in partnered[kind]]
             assert [(b.kind, b.coords) for b in new] == expected
             for kind in (LOWER, UPPER):
-                got = improved.coordinate_set(kind)
-                assert got == naive.coordinate_set(kind)
-                assert got == bounds_oracle(box, applied[kind], kind)
+                assert naive.coordinate_set(kind) == oracle[kind]
+                assert improved.coordinate_set(kind) == partnered[kind]
             self._check_defining(improved, applied)
             check_indices(improved)
 
