@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 

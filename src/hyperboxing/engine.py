@@ -78,12 +78,20 @@ class RepresentationEntry:
 
 @dataclass
 class RunReport:
+    """What one run produced and how long it took.
+
+    ``table`` holds one row per accepted point: z, s, alpha and the corners
+    of the selected box, as 4m + 1 float64 columns.  ``entries`` and
+    ``points`` rebuild the Python views from it; float64 holds each value
+    exactly.
+    """
+
     problem: str | None  # None for a session served to an external solver
     m: int
     epsilon: float
     mode: SizeMode
     strategy: Strategy
-    entries: list[RepresentationEntry]
+    table: np.ndarray
     iterations: int
     stalled_boxes: int
     skipped_dominated: int
@@ -96,11 +104,20 @@ class RunReport:
 
     @property
     def cardinality(self) -> int:
-        return len(self.entries)
+        return len(self.table)
+
+    @property
+    def entries(self) -> list[RepresentationEntry]:
+        m = self.m
+        return [
+            RepresentationEntry(tuple(row[:m]), tuple(row[m : 2 * m]), row[2 * m],
+                                tuple(row[2 * m + 1 : 3 * m + 1]), tuple(row[3 * m + 1 :]))
+            for row in self.table.tolist()
+        ]
 
     @property
     def points(self) -> list[Point]:
-        return [e.z for e in self.entries]
+        return list(map(tuple, self.table[:, : self.m].tolist()))
 
 
 class Session:
@@ -227,13 +244,18 @@ class Session:
         run; the total wall time runs from it to the end of the report.
         """
         final_max_box_size = self.final_max_box_size()
+        m = self.region.m
+        table = np.array(
+            [e.z + e.s + (e.alpha,) + e.box_lower + e.box_upper for e in self.entries],
+            dtype=float,
+        ).reshape(-1, 4 * m + 1)
         return RunReport(
             problem=problem,
-            m=self.region.m,
+            m=m,
             epsilon=self.epsilon,
             mode=self.mode,
             strategy=self.strategy,
-            entries=self.entries,
+            table=table,
             iterations=self.iterations,
             stalled_boxes=self.stalled_boxes,
             skipped_dominated=self.skipped_dominated,

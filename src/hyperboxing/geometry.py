@@ -25,8 +25,8 @@ class SizeMode(str, Enum):
 class Box:
     """Axis-parallel box [lower, upper] with finite corners and strictly positive edges.
 
-    ``scale`` carries the start-box extents so that relative sizes can be
-    computed for any descendant box.
+    ``scale`` carries the start-box extents, finite and positive, so that
+    relative sizes can be computed for any descendant box.
     """
 
     lower: Point
@@ -42,8 +42,9 @@ class Box:
             raise ValueError("box corners must be finite")
         if not all(l < u for l, u in zip(self.lower, self.upper)):
             raise ValueError("box requires lower < upper in every component")
-        if not all(s > 0 for s in self.scale):
-            raise ValueError("non-positive scale entry")
+        # Written as not(0 < s < inf) so that a NaN is refused too.
+        if not all(0 < s < math.inf for s in self.scale):
+            raise ValueError("scale entries must be finite and positive")
 
     @property
     def dim(self) -> int:

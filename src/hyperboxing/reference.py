@@ -130,8 +130,9 @@ def _largest_box_scan(region: RegionBase, threshold: float, evicted: set):
     best_key = None
     best_pair = None
     for li, uj in candidates:
-        lower = tuple(l_coords[:, li])
-        upper = tuple(u_coords[:, uj])
+        # Python floats, as the improved region's corners are.
+        lower = tuple(l_coords[:, li].tolist())
+        upper = tuple(u_coords[:, uj].tolist())
         key = selection_key(lower, upper, region.scale)
         if best_key is None or key > best_key:
             best_key = key
@@ -245,7 +246,12 @@ def check_indices(region: SearchRegion) -> None:
     and only selection skips it.  The region stores exactly the bounds that
     have a partner.
     """
-    for kind, opp in ((LOWER, region.opp_upper), (UPPER, region.opp_lower)):
+    # Each map is rebuilt from the pair table on access, so read it once.
+    opp_upper, opp_lower = region.opp_upper, region.opp_lower
+    pairs = region._pairs
+    if not pairs.live == int(pairs.alive[: pairs.n].sum()) == sum(map(len, opp_upper.values())):
+        raise AssertionError("the pair table miscounts its live rows or holds a pair twice")
+    for kind, opp in ((LOWER, opp_upper), (UPPER, opp_lower)):
         stored = set(region._stores[kind].live_view()[1].tolist())
         if set(opp) != stored or not all(opp.values()):
             raise AssertionError(f"stored {kind} bounds differ from those with partners")
@@ -257,11 +263,11 @@ def check_indices(region: SearchRegion) -> None:
                 size, _ = box_measures(l.coords, u.coords, region.scale)
                 if size > region.epsilon:
                     expected.add(u.id)
-        actual = region.opp_upper.get(l.id, set())
+        actual = opp_upper.get(l.id, set())
         if actual != expected:
             raise AssertionError(f"opposing uppers of {l} differ: {actual} != {expected}")
         for u_id in actual:
-            if l.id not in region.opp_lower[u_id]:
+            if l.id not in opp_lower[u_id]:
                 raise AssertionError("opposing index maps are not symmetric")
 
 

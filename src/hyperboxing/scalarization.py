@@ -46,7 +46,7 @@ LAMBDA_WIRE_TOL = 1e-12
 LAMBDA_SOLVER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PSQuery:
     query_id: int
     p: Point
@@ -63,7 +63,7 @@ class PSQuery:
         return len(self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PSSolution:
     query_id: int
     alpha: float

@@ -5,9 +5,11 @@ upper bounds) of the not-yet-excluded search region, each in one
 column-major array store, and splits every bound a new point affects in a
 few array operations.  Only children that pass the creation criterion are
 made.  Pairs of opposing bounds whose box exceeds the pruning threshold are
-indexed per bound and kept in a lazy max-heap, so the largest box needs no
-scan.  The largest box of a pair dropped at or below the threshold, or
-evicted, is kept instead, and bounds every box left in L x U.
+rows of one column table (ids, size and volume, with tombstones), the pair
+view of L x U; a split finds its parents' pairs through an id-indexed flag
+array, and the largest box is the table's argmax.  The largest box of a
+pair dropped at or below the threshold, or evicted, is kept instead, and
+bounds every box left in L x U.
 
 L and U hold only the bounds with a partner: an opposing bound whose box
 exceeds the threshold.  The point sequence cannot change.  A pair forms only
@@ -25,10 +27,8 @@ any others, so both regions select the same boxes after a solver miss too.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -232,39 +232,137 @@ class RegionBase:
             self._split(UPPER, z)
 
 
+class _PairTable:
+    """The indexed pairs of opposing bounds as columns with tombstones.
+
+    Row r is the pair (``l_id[r]``, ``u_id[r]``) whose box has minimal edge
+    ``size[r]`` and volume ``volume[r]``; a row stays live until one of its
+    bounds is split.  ``size`` is also the selection key: it reads -inf on a
+    dead row and on an evicted one, which stays live, so its argmax is the
+    largest selectable box.
+    """
+
+    COLUMNS = ("l_id", "u_id", "size", "volume", "alive")
+
+    def __init__(self, capacity: int = 256):
+        self.l_id = np.zeros(capacity, dtype=np.int64)
+        self.u_id = np.zeros(capacity, dtype=np.int64)
+        self.size = np.zeros(capacity)
+        self.volume = np.zeros(capacity)
+        self.alive = np.zeros(capacity, dtype=bool)
+        self.n = 0
+        self.live = 0
+
+    def ids(self, kind: str) -> np.ndarray:
+        """The id column of one bound kind over the used rows."""
+        return (self.l_id if kind == LOWER else self.u_id)[: self.n]
+
+    def append(self, l_ids, u_ids, size, volume) -> None:
+        k = len(size)
+        if self.n + k > len(self.size):
+            # Drop the dead rows before growing, once they outnumber the live ones.
+            if self.n - self.live > self.live:
+                self.compact()
+            if self.n + k > len(self.size):
+                self._grow(self.n + k)
+        rows = slice(self.n, self.n + k)
+        self.l_id[rows] = l_ids
+        self.u_id[rows] = u_ids
+        self.size[rows] = size
+        self.volume[rows] = volume
+        self.alive[rows] = True
+        self.n += k
+        self.live += k
+
+    def kill(self, rows: np.ndarray) -> None:
+        self.alive[rows] = False
+        self.size[rows] = -np.inf
+        self.live -= len(rows)
+
+    def _grow(self, need: int) -> None:
+        extra = max(need, 2 * len(self.size)) - self.n
+        for name in self.COLUMNS:
+            setattr(self, name, np.pad(getattr(self, name)[: self.n], (0, extra)))
+
+    def compact(self) -> None:
+        keep = np.flatnonzero(self.alive[: self.n])
+        for name in self.COLUMNS:
+            column = getattr(self, name)
+            column[: self.live] = column[keep]
+        self.alive[self.live : self.n] = False
+        self.n = self.live
+
+    def rows_with(self, kind: str, ids: np.ndarray, flag: np.ndarray) -> np.ndarray:
+        """The live rows whose bound of this kind is one of ids.
+
+        ``flag`` is an all-False array indexed by bound id, left all-False.
+        """
+        flag[ids] = True
+        rows = np.flatnonzero(flag[self.ids(kind)])
+        flag[ids] = False
+        return rows[self.alive[rows]]
+
+    def unpaired(self, kind: str, ids: np.ndarray, flag: np.ndarray) -> np.ndarray:
+        """Those of ids that no live row holds as its bound of this kind, repeats kept."""
+        flag[ids] = True
+        flag[self.ids(kind)[self.alive[: self.n]]] = False
+        out = ids[flag[ids]]
+        flag[ids] = False
+        return out
+
+    def opposing(self, kind: str) -> dict[int, set[int]]:
+        """The live partners of each bound of this kind, built from the rows."""
+        other = UPPER if kind == LOWER else LOWER
+        live = self.alive[: self.n]
+        out = defaultdict(set)
+        for bid, pid in zip(self.ids(kind)[live].tolist(), self.ids(other)[live].tolist()):
+            out[bid].add(pid)
+        return dict(out)
+
+
+#: Most candidate pairs one split folds at a time, to bound its temporaries.
+PAIR_BLOCK = 1 << 20
+
+
 class SearchRegion(RegionBase):
-    """The sets L and U with opposing indices and a lazy heap of their boxes."""
+    """The sets L and U with a column table of their indexed pairs."""
 
     def __init__(self, start_box: Box, epsilon: float, mode: SizeMode = SizeMode.ABSOLUTE):
         super().__init__(start_box, epsilon, mode)
-        self.opp_upper: dict[int, set[int]] = {}
-        self.opp_lower: dict[int, set[int]] = {}
-        self._heap: list = []
-        self._live_pairs = 0
+        self._pairs = _PairTable()
+        # Scratch marks indexed by bound id, all False between uses.
+        self._flag = np.zeros(256, dtype=bool)
         # Largest size of a pair dropped at or below epsilon or evicted.
         self._settled = 0.0
         lower, upper = (self._stores[kind].coords[:, :1] for kind in (LOWER, UPPER))
-        for l_id, u_id in zip(*self._push_pairs(lower, upper, [0], [1])):
-            self.opp_upper[l_id] = {u_id}
-            self.opp_lower[u_id] = {l_id}
-        if not self._live_pairs:  # a start box at most epsilon leaves no partners
+        self._push_pairs(lower, upper, np.array([0]), np.array([1]))
+        if not self._pairs.live:  # a start box at most epsilon leaves no partners
             for store in self._stores.values():
                 store.kill(np.array([0]))
 
-    def apply_point(self, z, s, lower_only: bool = False) -> None:
-        """Split as :meth:`RegionBase.apply_point` does, then compact the heap."""
-        super().apply_point(z, s, lower_only)
-        self._compact_heap()
+    @property
+    def _heap(self) -> np.ndarray:
+        """The pair table's rows, tombstones included (perfbench's heap entries)."""
+        return self._pairs.l_id[: self._pairs.n]
 
-    def _push_pairs(self, lower, upper, l_ids, u_ids) -> tuple[list[int], list[int]]:
+    @property
+    def opp_upper(self) -> dict[int, set[int]]:
+        """The partners of each stored lower bound; built on access, O(P)."""
+        return self._pairs.opposing(LOWER)
+
+    @property
+    def opp_lower(self) -> dict[int, set[int]]:
+        """The partners of each stored upper bound; built on access, O(P)."""
+        return self._pairs.opposing(UPPER)
+
+    def _push_pairs(self, lower, upper, l_ids, u_ids) -> np.ndarray:
         """Index the candidate pairs whose box exceeds epsilon.
 
         ``lower`` and ``upper`` are (m, P) corner columns of P candidate pairs,
-        ``l_ids`` and ``u_ids`` their ids; object arrays pass the ids' own int
-        objects through, so a pair costs no new ones.  Size and volume are
-        folded one column at a time in the order ``box_measures`` uses, so
-        the heap keys match it bit for bit.  Returns the ids of the pairs kept;
-        the largest size dropped goes into the running maximum.
+        ``l_ids`` and ``u_ids`` their id arrays.  Size and volume are folded
+        one column at a time in the order ``box_measures`` uses, so they
+        match it bit for bit.  Returns the indices of the pairs kept; the
+        largest size dropped goes into the running maximum.
         """
         size = (upper[0] - lower[0]) / self.scale[0]
         volume = size.copy()
@@ -276,27 +374,8 @@ class SearchRegion(RegionBase):
         if not kept.all():
             self._settled = max(self._settled, float(size[~kept].max()))
         keep = np.flatnonzero(kept)
-        l_kept = np.asarray(l_ids)[keep].tolist()
-        u_kept = np.asarray(u_ids)[keep].tolist()
-        neg_corners = zip(*(-np.concatenate([lower[:, keep], upper[:, keep]])).tolist())
-        heap = self._heap
-        for key in zip((-size[keep]).tolist(), (-volume[keep]).tolist(), neg_corners,
-                       l_kept, u_kept):
-            heapq.heappush(heap, key)
-        self._live_pairs += len(keep)
-        return l_kept, u_kept
-
-    def _compact_heap(self) -> None:
-        """Rebuild the heap from its live entries once stale ones outnumber them.
-
-        Heap keys are unique, since they end in (l_id, u_id), so the pop order
-        does not change.
-        """
-        if len(self._heap) <= 2 * self._live_pairs:
-            return
-        opp = self.opp_upper
-        self._heap = [e for e in self._heap if e[4] in opp.get(e[3], ())]
-        heapq.heapify(self._heap)
+        self._pairs.append(l_ids[keep], u_ids[keep], size[keep], volume[keep])
+        return keep
 
     def _split(self, kind: str, pt: Point) -> None:
         """Split every bound strictly beyond pt at once.
@@ -333,63 +412,63 @@ class SearchRegion(RegionBase):
         child_defining = np.where(passed[pa, :, :, ks], parents[pa], -1)
         child_defining[new, ks] = -1
         child_defining[new, ks, 0] = idx
-        parent_ids = store.ids[rows].tolist()
+        parent_ids = store.ids[rows]  # ascending, as rows are
         store.kill(rows)
         ids = self._new_ids(len(pa))  # every child takes an id, stored or not
+        if len(self._flag) < self._next_id:
+            self._flag = np.zeros(2 * self._next_id, dtype=bool)
 
-        if kind == LOWER:
-            own_opp, other_opp, other = self.opp_upper, self.opp_lower, self._stores[UPPER]
-        else:
-            own_opp, other_opp, other = self.opp_lower, self.opp_upper, self._stores[LOWER]
-        partners = [own_opp.pop(bid) for bid in parent_ids]
-        for bid, group in zip(parent_ids, partners):
-            for pid in group:
-                other_opp[pid].discard(bid)
-        n_partners = np.fromiter(map(len, partners), dtype=np.int64, count=len(partners))
-        self._live_pairs -= int(n_partners.sum())
+        # The parents' pairs: each names a partner, which pairs with every
+        # child of that parent.
+        other_kind = UPPER if kind == LOWER else LOWER
+        other = self._stores[other_kind]
+        table = self._pairs
+        hits = table.rows_with(kind, parent_ids, self._flag)
+        hit_parent = np.searchsorted(parent_ids, table.ids(kind)[hits])
+        partner_ids = table.ids(other_kind)[hits]
+        table.kill(hits)
+        partner_cols = other.coords.take(other.rows_of(partner_ids), axis=1)
 
-        # Candidate pairs: each parent's children against each of its
-        # partners, parent by parent; rank is a pair's place in that block.
         n_children = np.bincount(pa, minlength=len(rows))
-        per_parent = n_children * n_partners
-        pair_parent = np.repeat(np.arange(len(rows)), per_parent)
-        rank = np.arange(len(pair_parent)) - (np.cumsum(per_parent) - per_parent)[pair_parent]
-        width = n_partners[pair_parent]
-        child = (np.cumsum(n_children) - n_children)[pair_parent] + rank // width
-        partner = (np.cumsum(n_partners) - n_partners)[pair_parent] + rank % width
-        all_partners = list(chain.from_iterable(partners))
-        partner_rows = other.rows_of(np.array(all_partners, dtype=np.int64))[partner]
-        partner_cols = other.coords.take(partner_rows, axis=1)
-        partner_ids = np.array(all_partners, dtype=object)[partner]
-        pair_cols = child_cols.take(child, axis=1)
-        # One int object per new id, shared by the index maps and the heap.
-        new_ids = np.array(ids, dtype=object)[child]
-        if kind == LOWER:
-            mine, theirs = self._push_pairs(pair_cols, partner_cols, new_ids, partner_ids)
-        else:
-            theirs, mine = self._push_pairs(partner_cols, pair_cols, partner_ids, new_ids)
-        fresh = defaultdict(set)
-        for c, p in zip(mine, theirs):
-            fresh[c].add(p)
-            other_opp[p].add(c)
-        own_opp.update(fresh)
-        keep = np.array(sorted(fresh), dtype=np.int64) - ids.start
+        first_child = (np.cumsum(n_children) - n_children)[hit_parent]
+        hit_children = n_children[hit_parent]
+        # A parent has at most m children, so a block of hits makes at most
+        # PAIR_BLOCK candidate pairs.
+        block = max(1, PAIR_BLOCK // self.m)
+        paired = np.zeros(len(pa), dtype=bool)
+        for start in range(0, len(hits), block):
+            hit, rank = np.nonzero(np.arange(self.m) < hit_children[start : start + block, None])
+            hit += start
+            child = first_child[hit] + rank
+            mine, theirs = child_cols.take(child, axis=1), partner_cols.take(hit, axis=1)
+            my_ids, their_ids = ids.start + child, partner_ids[hit]
+            if kind == LOWER:
+                keep = self._push_pairs(mine, theirs, my_ids, their_ids)
+            else:
+                keep = self._push_pairs(theirs, mine, their_ids, my_ids)
+            paired[child[keep]] = True
+        # A child is stored iff it kept a pair.
+        keep = np.flatnonzero(paired)
         store.append(ids.start + keep, child_cols[:, keep], child_defining[keep])
         # Only now, with the children's pairs in place, is a partner known to
         # be left without any; it can never gain one again.
-        widowed = [pid for pid in set(all_partners) if not other_opp[pid]]
-        if widowed:
-            for pid in widowed:
-                del other_opp[pid]
-            other.kill(other.rows_of(np.array(widowed, dtype=np.int64)))
+        if len(partner_ids):
+            widowed = table.unpaired(other_kind, partner_ids, self._flag)
+            if len(widowed):
+                other.kill(other.rows_of(np.unique(widowed)))
 
     def evict_pair(self, l_id: int, u_id: int) -> None:
         """Record the pair as :meth:`RegionBase.evict_pair` does; it stays indexed.
 
-        Its size counts towards :meth:`max_box_size_bound`.
+        Its row stays live but leaves selection, and its size counts towards
+        :meth:`max_box_size_bound`.
         """
         super().evict_pair(l_id, u_id)
-        if u_id in self.opp_upper.get(l_id, ()):
+        table = self._pairs
+        row = np.flatnonzero((table.ids(LOWER) == l_id) & (table.ids(UPPER) == u_id)
+                             & table.alive[: table.n])
+        if len(row):
+            table.size[row] = -np.inf
             lower = self._stores[LOWER].coords_of(l_id)
             upper = self._stores[UPPER].coords_of(u_id)
             self._settled = max(self._settled, box_measures(lower, upper, self.scale)[0])
@@ -397,28 +476,47 @@ class SearchRegion(RegionBase):
     def largest_box(self):
         """The largest remaining box, or None once every box is at most epsilon.
 
-        Returns (Box, l_id, u_id).
+        Returns (Box, l_id, u_id).  Boxes are ordered by size, then volume,
+        then descending lower and upper corners, then ascending ids, as
+        ``geometry.selection_key`` orders them.  Dead rows are dropped first
+        once they outnumber the live ones.
         """
-        while self._heap:
-            _, _, _, l_id, u_id = self._heap[0]
-            if u_id in self.opp_upper.get(l_id, ()) and (l_id, u_id) not in self._evicted:
-                lower = self._stores[LOWER].coords_of(l_id)
-                upper = self._stores[UPPER].coords_of(u_id)
-                return Box(lower, upper, self.start_scale), l_id, u_id
-            heapq.heappop(self._heap)
-        return None
+        table = self._pairs
+        if table.n - table.live > table.live:
+            table.compact()
+        size = table.size[: table.n]
+        best = size.max(initial=-np.inf)
+        if best == -np.inf:
+            return None
+        ties = np.flatnonzero(size == best)
+        if len(ties) > 1:
+            volume = table.volume[ties]
+            ties = ties[volume == volume.max()]
+        row = ties[0] if len(ties) == 1 else self._first_by_corners(ties)
+        l_id, u_id = int(table.l_id[row]), int(table.u_id[row])
+        lower = self._stores[LOWER].coords_of(l_id)
+        upper = self._stores[UPPER].coords_of(u_id)
+        return Box(lower, upper, self.start_scale), l_id, u_id
+
+    def _first_by_corners(self, rows: np.ndarray):
+        """The row with the largest corners (lower, then upper), then the smallest ids."""
+        table, lower, upper = self._pairs, self._stores[LOWER], self._stores[UPPER]
+        l_ids, u_ids = table.l_id[rows], table.u_id[rows]
+        corners = np.concatenate([lower.coords.take(lower.rows_of(l_ids), axis=1),
+                                  upper.coords.take(upper.rows_of(u_ids), axis=1)])
+        # np.lexsort sorts by its last key first.
+        return rows[np.lexsort((u_ids, l_ids, *(-corners[::-1])))[0]]
 
     def max_box_size_bound(self) -> float:
         """An upper bound on the size of every box left in L x U.
 
         The larger of the running maximum over the pairs the region stopped
-        refining and the largest live pair.  Lower-bound children lie above
-        their parents and upper-bound children below, and a pair forms only
-        between a child and its parent's partners, so every box in L x U lies
-        inside a dropped, evicted or live pair's box; edge lengths are
+        refining and the largest selectable pair.  Lower-bound children lie
+        above their parents and upper-bound children below, and a pair forms
+        only between a child and its parent's partners, so every box in L x U
+        lies inside a dropped, evicted or live pair's box; edge lengths are
         monotone under rounding, so the bound is at least the exact scan,
         ``reference.max_box_size_full_scan``.
         """
-        if self.largest_box() is None:
-            return self._settled
-        return max(self._settled, -self._heap[0][0])
+        largest = self._pairs.size[: self._pairs.n].max(initial=-np.inf)
+        return max(self._settled, float(largest))

@@ -250,22 +250,23 @@ class TestSession:
         report = run_representation(sphere_config(m=2, epsilon=0.2))
         assert [e.z for e in session.entries] == report.points
 
-    def test_heap_compacted_when_stale_entries_outnumber_live_pairs(self):
-        # Without compaction this run ends an iteration with 89 entries
-        # beyond twice its live pairs; the peak heap is 972 against 468 pairs.
+    def test_pair_table_compacted_when_dead_rows_outnumber_live_ones(self):
+        # Selection drops the table's dead rows once they outnumber the live
+        # ones, so the argmax never scans more than twice the live rows.
         problem = make_problem("sphere", 5)
         session = Session(start_box_for(problem), 0.3)
-        region = session.region
-
-        def check():
-            live = sum(map(len, region.opp_upper.values()))
-            assert region._live_pairs == live
-            assert len(region._heap) <= 2 * live + 64
-
-        while (query := session.next_query()) is not None:
-            check()
+        table = session.region._pairs
+        dropped = 0
+        while True:
+            before = table.n
+            query = session.next_query()
+            assert table.live == int(table.alive[: table.n].sum())
+            assert table.n <= 2 * table.live
+            dropped += before - table.n
+            if query is None:
+                break
             session.submit(solve_quadric_ps(query, (1.0,) * 5))
-            check()
+        assert dropped > 0
         assert session.iterations == 51
 
 

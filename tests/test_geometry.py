@@ -73,6 +73,13 @@ class TestBox:
         with pytest.raises(ValueError):
             Box((0.0, 0.0), (1.0, 1.0), (1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_scale_rejected(self, bad):
+        # An infinite scale would read every relative edge as 0, so a
+        # relative run over the box would end at once with no points.
+        with pytest.raises(ValueError, match="finite"):
+            Box((0.0, 0.0), (1.0, 1.0), (1.0, bad))
+
 
 class TestBoxSize:
     def test_absolute_min_edge(self):

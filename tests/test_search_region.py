@@ -1,11 +1,13 @@
 """Bound bookkeeping: split criteria, strategy equivalence and the oracle."""
 
+import heapq
 import operator
 
 import numpy as np
 import pytest
 
 from hyperboxing import reference, search_region
+from hyperboxing.engine import Session, start_box_for
 from hyperboxing.geometry import Box, SizeMode, box_measures, selection_key, strictly_less
 from hyperboxing.reference import (
     VIRTUAL,
@@ -18,6 +20,8 @@ from hyperboxing.reference import (
     child_criterion_upper,
     max_box_size_full_scan,
 )
+from hyperboxing.problems import make_problem
+from hyperboxing.scalarization import solve_quadric_ps
 from hyperboxing.search_region import LOWER, UPPER, SearchRegion
 
 REGION_CLASSES = (NaiveRegion, SearchRegion)
@@ -364,6 +368,112 @@ class TestLargestBox:
         _, l_id, u_id = reg.largest_box()
         reg.evict_pair(l_id, u_id)
         assert reg.largest_box() is None
+
+
+def _heap_pick(region):
+    """The pair a heap keyed on (-size, -volume, -corners, l_id, u_id) pops first.
+
+    A scalar reference for the pair table's selection: every indexed pair
+    that is not evicted, keyed as the region's former lazy max-heap keyed
+    it.  Returns ((l_id, u_id) or None, whether the top tied with another
+    key on size and volume).
+    """
+    lower, upper = region._stores[LOWER], region._stores[UPPER]
+    heap = []
+    for l_id, partners in region.opp_upper.items():
+        lo = lower.coords_of(l_id)
+        for u_id in partners:
+            if (l_id, u_id) not in region._evicted:
+                up = upper.coords_of(u_id)
+                size, volume = box_measures(lo, up, region.scale)
+                heapq.heappush(heap, (-size, -volume, tuple(-v for v in lo + up), l_id, u_id))
+    if not heap:
+        return None, False
+    top = heapq.heappop(heap)
+    return top[3:], bool(heap) and heap[0][:2] == top[:2]
+
+
+class TestSelectionOrder:
+    """The pair table selects the pair the former heap would have popped."""
+
+    @staticmethod
+    def _check(region):
+        expected, tied = _heap_pick(region)
+        pick = region.largest_box()
+        assert (pick[1:] if pick else None) == expected
+        return pick, tied
+
+    def _drive(self, session, quadric, misses=()):
+        """Answer on the quadric's front, missing the given query ids; count tied picks."""
+        ties = 0
+        while True:
+            ties += self._check(session.region)[1]
+            query = session.next_query()
+            if query is None:
+                return ties
+            if query.query_id in misses:
+                session.evict_pending()
+            else:
+                session.submit(solve_quadric_ps(query, quadric))
+
+    @pytest.mark.parametrize("m, epsilon", [(3, 0.1), (4, 0.2), (5, 0.3), (6, 0.4)])
+    def test_symmetric_sphere(self, m, epsilon):
+        session = Session(start_box_for(make_problem("sphere", m)), epsilon)
+        assert self._drive(session, (1.0,) * m) > 0
+
+    @pytest.mark.parametrize("m, epsilon", [(3, 0.1), (4, 0.25)])
+    def test_sphere_with_misses(self, m, epsilon):
+        session = Session(start_box_for(make_problem("sphere", m)), epsilon)
+        assert self._drive(session, (1.0,) * m, misses={1, 4, 9, 17, 30}) > 0
+        assert session.stalled_boxes >= 5
+
+    def test_relative_ties_in_two_dimensions(self):
+        # The ellipse over its 2 x 1 start box is a quarter circle in
+        # relative edges, and halving is exact, so its boxes tie exactly.
+        problem = make_problem("ellipsoid", 2)
+        session = Session(start_box_for(problem), 0.01, SizeMode.RELATIVE)
+        assert self._drive(session, problem.analytic_quadric) > 0
+
+    @pytest.mark.parametrize("grid", [0, 8], ids=["random", "tied"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_random_points_with_evictions(self, m, grid):
+        rng = np.random.default_rng(10 * m + grid)
+        region = _region(_unit_box(m), eps=0.05)
+        for step in range(60):
+            pick, _ = self._check(region)
+            if pick is None:
+                break
+            if step % 4 == 3:
+                region.evict_pair(*pick[1:])
+                continue
+            z = rng.uniform(pick[0].lower, pick[0].upper)
+            if grid:
+                z = np.round(z * grid) / grid
+            region.apply_point(tuple(z.tolist()), tuple(z.tolist()))
+        check_indices(region)
+
+    def test_small_pair_blocks_change_nothing(self, monkeypatch):
+        def picks():
+            session = Session(start_box_for(make_problem("sphere", 4)), 0.2)
+            out = []
+            while (query := session.next_query()) is not None:
+                out.append(session._pending[1:3])
+                session.submit(solve_quadric_ps(query, (1.0,) * 4))
+            check_indices(session.region)
+            return out, session.region.max_box_size_bound()
+
+        whole = picks()
+        monkeypatch.setattr(search_region, "PAIR_BLOCK", 5)
+        assert picks() == whole
+
+    def test_pair_table_compacts_before_growing(self):
+        table = search_region._PairTable(capacity=4)
+        table.append(np.arange(4), np.arange(4) + 10, np.ones(4), np.ones(4))
+        table.kill(np.array([0, 1, 2]))
+        table.append(np.array([7, 8]), np.array([17, 18]), np.full(2, 2.0), np.full(2, 2.0))
+        assert len(table.size) == 4 and table.n == table.live == 3
+        assert table.ids(LOWER).tolist() == [3, 7, 8]
+        assert table.ids(UPPER).tolist() == [13, 17, 18]
 
 
 class TestBlockedScan:
