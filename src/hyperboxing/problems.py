@@ -24,7 +24,23 @@ class UnsupportedProblem(ValueError):
 
 @dataclass
 class ProblemSpec:
-    """A multi-objective test problem in decision-space form."""
+    """A multi-objective test problem in decision-space form.
+
+    The evaluators take the d decision variables as d float arrays, one
+    column each, that broadcast against each other: a grid solver passes
+    the axes of a sparse ``indexing="ij"`` mesh (axis k has shape
+    ``(1, ..., r, ..., 1)``), a sampler passes d arrays of shape ``(n,)``.
+
+    * ``evaluate_columns(*x)`` returns m objective arrays.  Each may keep
+      the smallest shape its formula needs (patched ``f1 = x1`` stays
+      ``(r, 1)``); they only have to broadcast against the columns' shape.
+    * ``feasible_columns(*x)`` returns a bool array that broadcasts the
+      same way.
+
+    Both are elementwise, so an entry of their output is the value a single
+    decision vector would give.  A grid solver evaluates the objectives on
+    the whole mesh, infeasible points included, and ignores their values.
+    """
 
     name: str
     m: int
@@ -33,8 +49,8 @@ class ProblemSpec:
     nadir: Point
     analytic_quadric: Point | None = None
     default_grid_resolution: int = 64
-    evaluate_batch: Callable[[np.ndarray], np.ndarray] = None
-    feasible_batch: Callable[[np.ndarray], np.ndarray] = None
+    evaluate_columns: Callable[..., tuple[np.ndarray, ...]] = None
+    feasible_columns: Callable[..., np.ndarray] = None
     front_sampler: Callable[[int, int], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -42,14 +58,14 @@ class ProblemSpec:
             raise ValueError("ideal point must be componentwise <= nadir point")
 
     def feasible(self, x) -> bool:
-        return bool(self.feasible_batch(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+        return bool(np.all(self.feasible_columns(*_point_columns(x))))
 
     def evaluate(self, x) -> Point:
         """Objective vector at a single feasible decision vector."""
-        arr = np.atleast_2d(np.asarray(x, dtype=float))
-        if not self.feasible_batch(arr)[0]:
+        columns = _point_columns(x)
+        if not np.all(self.feasible_columns(*columns)):
             raise ValueError(f"infeasible decision vector {x!r} for {self.name}")
-        return tuple(float(v) for v in self.evaluate_batch(arr)[0])
+        return tuple(float(np.ravel(f)[0]) for f in self.evaluate_columns(*columns))
 
     @property
     def has_front_sampler(self) -> bool:
@@ -62,6 +78,11 @@ class ProblemSpec:
         if n < 1:
             raise ValueError("sample count must be positive")
         return self.front_sampler(n, seed)
+
+
+def _point_columns(x) -> tuple[np.ndarray, ...]:
+    """One decision vector as d columns of shape (1,)."""
+    return tuple(np.asarray(x, dtype=float).reshape(-1, 1))
 
 
 def nondominated_mask(points: np.ndarray) -> np.ndarray:
@@ -99,11 +120,14 @@ def _make_quadric(name: str, m: int) -> ProblemSpec:
         a = (float(m),) + (1.0,) * (m - 1)
     a_arr = np.asarray(a)
 
-    def evaluate_batch(x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)
+    def evaluate_columns(*x):
+        return x
 
-    def feasible_batch(x: np.ndarray) -> np.ndarray:
-        return (np.square(np.asarray(x) / a_arr).sum(axis=1) <= 1.0 + 1e-12)
+    def feasible_columns(*x):
+        total = np.square(x[0] / a[0])
+        for xk, ak in zip(x[1:], a[1:]):
+            total = total + np.square(xk / ak)
+        return total <= 1.0 + 1e-12
 
     def front_sampler(n: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -119,8 +143,8 @@ def _make_quadric(name: str, m: int) -> ProblemSpec:
         ideal=tuple(-ai for ai in a),
         nadir=(0.0,) * m,
         analytic_quadric=a,
-        evaluate_batch=evaluate_batch,
-        feasible_batch=feasible_batch,
+        evaluate_columns=evaluate_columns,
+        feasible_columns=feasible_columns,
         front_sampler=front_sampler,
     )
 
@@ -132,13 +156,11 @@ _NC_X2_MAX = math.log(5.0)
 
 
 def _make_nonconvex() -> ProblemSpec:
-    def evaluate_batch(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.stack([-x[:, 0], -x[:, 1], -np.square(x[:, 2])], axis=1)
+    def evaluate_columns(x1, x2, x3):
+        return -x1, -x2, -np.square(x3)
 
-    def feasible_batch(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x[:, 2] - np.cos(x[:, 0]) - np.exp(-x[:, 1]) <= 1e-9
+    def feasible_columns(x1, x2, x3):
+        return x3 - np.cos(x1) - np.exp(-x2) <= 1e-9
 
     def front_sampler(n: int, seed: int) -> np.ndarray:
         # The efficient set is the constraint surface x3 = cos x1 + exp(-x2)
@@ -158,8 +180,8 @@ def _make_nonconvex() -> ProblemSpec:
         ideal=(-_NC_X1_MAX, -_NC_X2_MAX, -4.0),
         nadir=(0.0, 0.0, -1.44),
         default_grid_resolution=64,
-        evaluate_batch=evaluate_batch,
-        feasible_batch=feasible_batch,
+        evaluate_columns=evaluate_columns,
+        feasible_columns=feasible_columns,
         front_sampler=front_sampler,
     )
 
@@ -171,24 +193,21 @@ def _make_nonconvex() -> ProblemSpec:
 _COMET_F1_MIN = 2.0 * (-4.0 / 3.5**3 - 10.0 * 3.5)
 
 
-def _comet_objectives(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+def _comet_objectives(x1, x2, x3):
     base = x1**3 * x2**2 - 10.0 * x1
     f1 = (1.0 + x3) * (base - 4.0 * x2)
     f2 = (1.0 + x3) * (base + 4.0 * x2)
     f3 = 3.0 * (1.0 + x3) * x1**2
-    return np.stack([f1, f2, f3], axis=1)
+    return f1, f2, f3
 
 
 def _make_comet() -> ProblemSpec:
     box = ((1.0, 3.5), (-2.0, 2.0), (0.0, 1.0))
 
-    def feasible_batch(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ok = np.ones(len(x), dtype=bool)
-        for d, (lo, hi) in enumerate(box):
-            ok &= (x[:, d] >= lo) & (x[:, d] <= hi)
+    def feasible_columns(*x):
+        ok = np.bool_(True)
+        for xk, (lo, hi) in zip(x, box):
+            ok = ok & (xk >= lo) & (xk <= hi)
         return ok
 
     def front_sampler(n: int, seed: int) -> np.ndarray:
@@ -202,7 +221,7 @@ def _make_comet() -> ProblemSpec:
         x2h = rng.uniform(-2.0, 2.0, half)
         x3h = rng.uniform(0.0, 1.0, half)
         head = np.stack([np.ones(half), x2h, x3h], axis=1)
-        images = _comet_objectives(np.vstack([tail, head]))
+        images = np.stack(_comet_objectives(*np.vstack([tail, head]).T), axis=1)
         return _filter_front(images, n, rng)
 
     return ProblemSpec(
@@ -212,8 +231,8 @@ def _make_comet() -> ProblemSpec:
         ideal=(_COMET_F1_MIN, _COMET_F1_MIN, 3.0),
         nadir=(4.0, 4.0, 73.5),
         default_grid_resolution=72,
-        evaluate_batch=_comet_objectives,
-        feasible_batch=feasible_batch,
+        evaluate_columns=_comet_objectives,
+        feasible_columns=feasible_columns,
         front_sampler=front_sampler,
     )
 
@@ -221,7 +240,7 @@ def _make_comet() -> ProblemSpec:
 # -- patched front ------------------------------------------------------------
 
 
-def _patched_h(x: np.ndarray) -> np.ndarray:
+def _patched_h(x):
     return x * (1.0 + np.sin(3.0 * math.pi * x))
 
 
@@ -240,14 +259,11 @@ def _make_patched() -> ProblemSpec:
     bands = _PATCHED_BANDS
     h_max = float(_patched_h(np.array([bands[1][1]]))[0])
 
-    def evaluate_batch(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        f3 = 6.0 - _patched_h(x[:, 0]) - _patched_h(x[:, 1])
-        return np.stack([x[:, 0], x[:, 1], f3], axis=1)
+    def evaluate_columns(x1, x2):
+        return x1, x2, 6.0 - _patched_h(x1) - _patched_h(x2)
 
-    def feasible_batch(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return ((x >= 0.0) & (x <= 1.0)).all(axis=1)
+    def feasible_columns(x1, x2):
+        return (x1 >= 0.0) & (x1 <= 1.0) & (x2 >= 0.0) & (x2 <= 1.0)
 
     lengths = np.array([hi - lo for lo, hi in bands])
 
@@ -260,8 +276,9 @@ def _make_patched() -> ProblemSpec:
 
     def front_sampler(n: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        grid = np.stack([_draw_axis(rng, n), _draw_axis(rng, n)], axis=1)
-        return evaluate_batch(grid)
+        x1 = _draw_axis(rng, n)
+        x2 = _draw_axis(rng, n)
+        return np.stack(evaluate_columns(x1, x2), axis=1)
 
     return ProblemSpec(
         name="patched",
@@ -270,8 +287,8 @@ def _make_patched() -> ProblemSpec:
         ideal=(0.0, 0.0, 6.0 - 2.0 * h_max),
         nadir=(0.86, 0.86, 6.0),
         default_grid_resolution=512,
-        evaluate_batch=evaluate_batch,
-        feasible_batch=feasible_batch,
+        evaluate_columns=evaluate_columns,
+        feasible_columns=feasible_columns,
         front_sampler=front_sampler,
     )
 

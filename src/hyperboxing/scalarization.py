@@ -10,9 +10,12 @@ Backends:
 * :func:`solve_quadric_ps` -- closed form for feasible sets bounded by
   sum((z_i/a_i)^2) <= 1.
 * :class:`GridScalarizer` -- minimax over a uniform decision grid with one
-  local refinement pass.
+  local refinement pass.  Both passes evaluate the problem on a broadcast
+  (sparse ``indexing="ij"``) mesh and share one minimax, which takes the
+  first minimum in C order among the feasible points.
 * :func:`encode_query` / :func:`decode_solution` -- JSON-lines codec for
-  driving an external solver over a byte stream.
+  driving an external solver over a byte stream; :func:`encode_miss` is
+  the solver's "no intersection" record.
 """
 
 from __future__ import annotations
@@ -113,15 +116,20 @@ def solve_quadric_ps(query: PSQuery, a) -> PSSolution:
 class GridScalarizer:
     """Minimax solver over a fixed decision grid, with one refinement pass.
 
-    The base grid and its objective values are computed once; each query
-    only evaluates max_i (F_i(x) - p_i) / q_i over the cached values, then
-    refines on a sub-grid of one base-cell width around the incumbent.
+    Each pass evaluates the problem on a sparse ``indexing="ij"`` mesh of
+    ``resolution`` values per axis: the evaluators get the d axes as
+    broadcasting columns, so an objective that depends on few variables
+    (or a transcendental of one axis) is computed on those axes only.  An
+    image holds the axes, the objectives and the infeasible mask (None when
+    every point is feasible).  The base image is computed once; each query
+    minimaxes max_k (F_k(x) - p_k) / q_k over it, then over the image of a
+    sub-grid one base cell wide around the incumbent.
 
-    The cached image is stored column-major, one contiguous row of shape
-    (N,) per objective, and decision meshes are built column-major too, so
-    every pass over the grid reads contiguous memory.  The refinement mesh
-    and the minimax values of both passes are written into scratch buffers
-    of ``resolution ** d`` entries that are allocated once and reused by
+    Both passes go through one :meth:`_minimax`, which folds the objectives
+    into a reused ``(resolution,) * d`` buffer, sets infeasible entries to
+    +inf and takes the first minimum in C order.  That is the row a dense
+    row-major mesh filtered to its feasible points would pick, so the
+    answers equal that dense solve bit for bit.  The buffers are shared by
     every query; an instance must therefore not be called from two threads
     at once.
     """
@@ -136,74 +144,67 @@ class GridScalarizer:
         self._lo = np.array([lo for lo, _ in problem.decision_box])
         self._hi = np.array([hi for _, hi in problem.decision_box])
         self._cell = (self._hi - self._lo) / self.resolution
-        d = len(self._lo)
-        n = self.resolution**d
-        grid = self._mesh(self._lo, self._hi, np.empty((d, n)))
-        feas = problem.feasible_batch(grid)
-        if not feas.any():
+        shape = (self.resolution,) * len(self._lo)
+        self._alphas = np.empty(shape)
+        self._scratch = np.empty(shape)
+        self._base = self._image(self._lo, self._hi)
+        if self._base is None:
             raise InfeasibleProblem(f"no feasible grid point for {problem.name}")
-        self._x = grid if feas.all() else grid[feas]
-        self._f = np.ascontiguousarray(problem.evaluate_batch(self._x).T)
-        self._refined = np.empty((d, n))
-        self._alphas = np.empty(n)
-        self._scratch = np.empty(n)
 
-    def _mesh(self, lo, hi, cols: np.ndarray) -> np.ndarray:
-        """Fill the (d, N) array cols with the resolution^d mesh over [lo, hi].
-
-        Returns the (N, d) transpose view, so each coordinate is contiguous.
-        """
+    def _image(self, lo, hi):
+        """(axes, objectives, infeasible mask) of the mesh over [lo, hi]; None if nothing is feasible."""
         d = len(lo)
-        r = self.resolution
-        blocks = cols.reshape((d,) + (r,) * d)
+        axes = []
         for k in range(d):
             shape = [1] * d
-            shape[k] = r
-            blocks[k] = np.linspace(lo[k], hi[k], r).reshape(shape)
-        return cols.T
+            shape[k] = self.resolution
+            axes.append(np.linspace(lo[k], hi[k], self.resolution).reshape(shape))
+        feasible = np.asarray(self.problem.feasible_columns(*axes))
+        if not feasible.any():
+            return None
+        infeasible = None if feasible.all() else ~feasible
+        return axes, self.problem.evaluate_columns(*axes), infeasible
 
-    def _minimax(self, f_cols, p, q) -> tuple[int, float]:
-        """Argmin and minimum of max_i (f_i - p_i) / q_i over the n points of an (m, n) image.
+    def _minimax(self, image, p, q) -> tuple[np.ndarray, Point, float]:
+        """Decision, objective vector and value of the first minimum of max_k (f_k - p_k) / q_k.
 
         The max is folded objective by objective in the order max(axis=1)
-        uses, so the values match that reduction bit for bit.
+        over an (N, m) image uses, so the values match that reduction bit
+        for bit.
         """
-        n = f_cols.shape[1]
-        alphas = self._alphas[:n]
-        scratch = self._scratch[:n]
-        np.subtract(f_cols[0], p[0], out=alphas)
-        np.divide(alphas, q[0], out=alphas)
-        for i in range(1, len(f_cols)):
-            np.subtract(f_cols[i], p[i], out=scratch)
-            np.divide(scratch, q[i], out=scratch)
-            np.maximum(alphas, scratch, out=alphas)
-        j = int(alphas.argmin())
-        return j, float(alphas[j])
+        axes, objectives, infeasible = image
+        alphas = self._alphas
+        for k, f in enumerate(objectives):
+            if np.shape(f) == alphas.shape:
+                out = self._scratch if k else alphas
+                value = np.divide(np.subtract(f, p[k], out=out), q[k], out=out)
+            else:
+                value = (f - p[k]) / q[k]
+            folded = value if k == 0 else np.maximum(folded, value, out=alphas)
+        if folded is not alphas:
+            np.copyto(alphas, folded)
+        if infeasible is not None:
+            np.copyto(alphas, np.inf, where=infeasible)
+        at = np.unravel_index(int(alphas.argmin()), alphas.shape)
+        x = np.array([axis.flat[i] for axis, i in zip(axes, at)])
+        z = tuple(float(np.broadcast_to(f, alphas.shape)[at]) for f in objectives)
+        return x, z, float(alphas[at])
 
     def solve(self, query: PSQuery) -> PSSolution:
         p = np.asarray(query.p)
         q = np.asarray(query.q)
-        i, best_alpha = self._minimax(self._f, p, q)
-        best_x = self._x[i]
-        best_f = self._f[:, i]
-
+        best_x, best_z, best_alpha = self._minimax(self._base, p, q)
         lo = np.maximum(self._lo, best_x - self._cell)
         hi = np.minimum(self._hi, best_x + self._cell)
-        refined = self._mesh(lo, hi, self._refined)
-        feas = self.problem.feasible_batch(refined)
-        if feas.any():
-            xr = refined if feas.all() else refined[feas]
-            fr = self.problem.evaluate_batch(xr)
-            j, alpha = self._minimax(fr.T, p, q)
+        refined = self._image(lo, hi)
+        if refined is not None:
+            x, z, alpha = self._minimax(refined, p, q)
             if alpha < best_alpha:
-                best_alpha = alpha
-                best_x = xr[j]
-                best_f = fr[j]
+                best_x, best_z, best_alpha = x, z, alpha
 
-        z = tuple(float(v) for v in best_f)
         s = tuple(pi + best_alpha * qi for pi, qi in zip(query.p, query.q))
-        lam = _clamp_lambda((si - zi for si, zi in zip(s, z)), LAMBDA_SOLVER_TOL)
-        return PSSolution(query.query_id, best_alpha, z, lam, tuple(float(v) for v in best_x))
+        lam = _clamp_lambda((si - zi for si, zi in zip(s, best_z)), LAMBDA_SOLVER_TOL)
+        return PSSolution(query.query_id, best_alpha, best_z, lam, tuple(float(v) for v in best_x))
 
 
 # -- wire protocol ------------------------------------------------------------
@@ -211,6 +212,7 @@ class GridScalarizer:
 # One JSON record per line, UTF-8, numbers with 17 significant digits.
 # Engine -> solver: {"query_id": int, "p": [...], "q": [...]}
 # Solver -> engine: {"query_id": int, "alpha": x, "z": [...], "lambda": [...], "x": [...]?}
+#               or  {"query_id": int, "noIntersection": true}  (the box misses the front)
 # Termination:      {"done": true}
 
 
@@ -245,6 +247,11 @@ def encode_solution(solution: PSSolution) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
+def encode_miss(query_id: int) -> str:
+    """The solver's record for a query whose ray does not meet the feasible image."""
+    return f'{{"query_id": {query_id}, "noIntersection": true}}'
+
+
 def decode_query(line: str) -> PSQuery | None:
     """Parse an engine record; returns None for the termination record."""
     record = _load_record(line)
@@ -258,10 +265,24 @@ def decode_query(line: str) -> PSQuery | None:
 
 
 def decode_solution(line: str, expected_id: int | None = None, dim: int | None = None) -> PSSolution:
-    """Parse and validate a solver response line."""
+    """Parse and validate a solver response line.
+
+    A miss record, ``{"query_id": k, "noIntersection": true}``, raises
+    ``NoIntersection`` once its id has been checked.
+    """
     record = _load_record(line)
     try:
         query_id = _as_id(record["query_id"])
+    except KeyError as exc:
+        raise ProtocolError(f"bad solution record: missing {exc}") from exc
+    if expected_id is not None and query_id != expected_id:
+        raise ProtocolError(f"query id mismatch: expected {expected_id}, got {query_id}")
+    miss = record.get("noIntersection", False)
+    if not isinstance(miss, bool):
+        raise ProtocolError(f"noIntersection must be true or false, got {miss!r}")
+    if miss:
+        raise NoIntersection(f"solver reports no intersection for query {query_id}")
+    try:
         alpha = _as_float(record["alpha"], "alpha")
         z = _as_floats(record["z"], "z")
         lam = _as_floats(record["lambda"], "lambda")
@@ -271,8 +292,6 @@ def decode_solution(line: str, expected_id: int | None = None, dim: int | None =
     for name, values in (("alpha", (alpha,)), ("z", z), ("lambda", lam), ("x", decision or ())):
         if not all(math.isfinite(v) for v in values):
             raise ProtocolError(f"non-finite {name} in solution record: {list(values)}")
-    if expected_id is not None and query_id != expected_id:
-        raise ProtocolError(f"query id mismatch: expected {expected_id}, got {query_id}")
     if len(z) != len(lam):
         raise ProtocolError("z and lambda dimensions differ")
     if dim is not None and len(z) != dim:

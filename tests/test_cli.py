@@ -14,7 +14,8 @@ from hyperboxing.cli import _report_dict, main, write_points_csv
 from hyperboxing.engine import RunConfig, Session, run_representation
 from hyperboxing.geometry import Box
 from hyperboxing.problems import make_problem
-from hyperboxing.scalarization import decode_query, encode_solution, solve_quadric_ps
+from hyperboxing.scalarization import decode_query, encode_miss, encode_solution, solve_quadric_ps
+from test_engine import miss_queries
 
 
 def run_cli(*argv) -> int:
@@ -157,6 +158,29 @@ class TestServeCommand:
         report = run_representation(RunConfig(make_problem("sphere", 2), 0.3))
         expected = tmp_path / "expected.csv"
         write_points_csv(str(expected), report.points, 2)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_miss_records_match_in_process_misses(self, tmp_path, monkeypatch):
+        misses = {1, 4, 9, 17, 30}
+
+        def answer(query):
+            if query.query_id in misses:
+                return encode_miss(query.query_id)
+            return encode_solution(solve_quadric_ps(query, (1.0, 1.0, 1.0)))
+
+        report_path = tmp_path / "report.json"
+        proc, out, transcript = self.serve(
+            tmp_path, {"l0": [-1.0, -1.0, -1.0], "u0": [0.0, 0.0, 0.0]},
+            args=("--epsilon", "0.1", "--report", str(report_path)), answer=answer,
+        )
+        assert proc.returncode == 0
+        assert transcript[-1].strip() == '{"done": true}'
+        miss_queries(monkeypatch, misses)
+        report = run_representation(RunConfig(make_problem("sphere", 3), 0.1))
+        assert report.stalled_boxes == len(misses)
+        assert json.loads(report_path.read_text())["stalledBoxes"] == len(misses)
+        expected = tmp_path / "expected.csv"
+        write_points_csv(str(expected), report.points, 3)
         assert out.read_bytes() == expected.read_bytes()
 
     def test_report_matches_in_process_run(self, tmp_path):

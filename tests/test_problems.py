@@ -93,6 +93,48 @@ class TestEvaluate:
         assert sphere.evaluate(x) == ellipsoid.evaluate(x)
 
 
+def _bits(values, shape):
+    return np.ascontiguousarray(np.broadcast_to(values, shape), dtype=float).view(np.uint64)
+
+
+class TestColumnContract:
+    """Broadcast axes and dense rows give the same evaluations, bit for bit."""
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_broadcast_axes_match_dense_rows(self, name):
+        spec = make_problem(name, 3)
+        rng = np.random.default_rng(29)
+        r = 37
+        for _ in range(3):
+            # A random window that overhangs the decision box a little, so
+            # that both feasible and infeasible points are evaluated.
+            axes = []
+            for k, (lo, hi) in enumerate(spec.decision_box):
+                a, b = np.sort(rng.uniform(lo - 0.1 * (hi - lo), hi, 2))
+                shape = [1] * len(spec.decision_box)
+                shape[k] = r
+                axes.append(np.linspace(a, b, r).reshape(shape))
+            shape = (r,) * len(axes)
+            rows = np.stack([g.ravel() for g in np.meshgrid(*[a.ravel() for a in axes],
+                                                            indexing="ij")], axis=1)
+            objectives = spec.evaluate_columns(*axes)
+            dense = spec.evaluate_columns(*rows.T)
+            assert len(objectives) == len(dense) == spec.m
+            for f, g in zip(objectives, dense):
+                assert np.array_equal(_bits(f, shape).ravel(), _bits(g, len(rows)))
+            feasible = np.broadcast_to(spec.feasible_columns(*axes), shape).ravel()
+            assert feasible.dtype == bool
+            assert np.array_equal(feasible,
+                                  np.broadcast_to(spec.feasible_columns(*rows.T), len(rows)))
+
+    def test_objectives_keep_their_broadcast_shape(self):
+        spec = make_problem("patched")
+        x1 = np.linspace(0.0, 1.0, 5).reshape(5, 1)
+        x2 = np.linspace(0.0, 1.0, 5).reshape(1, 5)
+        f1, f2, f3 = spec.evaluate_columns(x1, x2)
+        assert (f1.shape, f2.shape, f3.shape) == ((5, 1), (1, 5), (5, 5))
+
+
 class TestNondominatedMask:
     def test_simple_domination(self):
         pts = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.5, 0.5]])

@@ -16,6 +16,7 @@ from hyperboxing.scalarization import (
     decode_query,
     decode_solution,
     encode_done,
+    encode_miss,
     encode_query,
     encode_solution,
     solve_quadric_ps,
@@ -99,13 +100,29 @@ class _ToyLineProblem:
     default_grid_resolution = 256
 
     @staticmethod
-    def evaluate_batch(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x[:, 0], 1.0 - x[:, 0]], axis=1)
+    def evaluate_columns(x):
+        return x, 1.0 - x
 
     @staticmethod
-    def feasible_batch(x):
-        return np.ones(len(np.atleast_2d(x)), dtype=bool)
+    def feasible_columns(x):
+        return np.ones(np.shape(x), dtype=bool)
+
+
+class _ToySumProblem:
+    """F(x) = (x1 + x2, 2 - x1 - x2) on [0, 1]^2: a dyadic grid ties along each anti-diagonal."""
+
+    name = "toysum"
+    decision_box = ((0.0, 1.0), (0.0, 1.0))
+    default_grid_resolution = 257
+
+    @staticmethod
+    def evaluate_columns(x1, x2):
+        total = x1 + x2
+        return total, 2.0 - total
+
+    @staticmethod
+    def feasible_columns(x1, x2):
+        return np.ones(np.broadcast_shapes(np.shape(x1), np.shape(x2)), dtype=bool)
 
 
 class TestGridSolver:
@@ -155,6 +172,15 @@ class TestGridSolver:
             GridScalarizer(make_problem("nonconvex"), 1)
 
 
+def _evaluate_rows(problem, x):
+    """The (N, m) objective rows of the (N, d) decision rows x."""
+    return np.stack(np.broadcast_arrays(*problem.evaluate_columns(*x.T)), axis=1)
+
+
+def _feasible_rows(problem, x):
+    return np.broadcast_to(problem.feasible_columns(*x.T), len(x))
+
+
 class _RowMajorReference:
     """The row-major grid solve that GridScalarizer replaced, kept as an oracle.
 
@@ -172,8 +198,8 @@ class _RowMajorReference:
         self.hi = np.array([hi for _, hi in problem.decision_box])
         self.cell = (self.hi - self.lo) / resolution
         grid = self.mesh(self.lo, self.hi)
-        self.x = grid[problem.feasible_batch(grid)]
-        self.f = problem.evaluate_batch(self.x)
+        self.x = grid[_feasible_rows(problem, grid)]
+        self.f = _evaluate_rows(problem, self.x)
         self.clamped = 0
         self.partly_feasible = 0
 
@@ -194,11 +220,11 @@ class _RowMajorReference:
         hi = np.minimum(self.hi, best_x + self.cell)
         self.clamped += bool((lo == self.lo).any() or (hi == self.hi).any())
         refined = self.mesh(lo, hi)
-        feas = self.problem.feasible_batch(refined)
+        feas = _feasible_rows(self.problem, refined)
         self.partly_feasible += bool(feas.any() and not feas.all())
         if feas.any():
             xr = refined[feas]
-            fr = self.problem.evaluate_batch(xr)
+            fr = _evaluate_rows(self.problem, xr)
             ar = ((fr - p) / q).max(axis=1)
             j = int(ar.argmin())
             if float(ar[j]) < best_alpha:
@@ -233,7 +259,7 @@ def _seeded_queries(problem, n, seed):
 
 
 class TestGridSolverBitIdentity:
-    """The column-major, buffered solve must match the row-major one exactly."""
+    """The broadcast-mesh, buffered solve must match the dense row-major one exactly."""
 
     RESOLUTION = 48
 
@@ -248,6 +274,28 @@ class TestGridSolverBitIdentity:
         assert reference.clamped > 0
         if name == "nonconvex":
             assert reference.partly_feasible > 0
+
+    @pytest.mark.parametrize("name", ["patched", "comet", "nonconvex"])
+    def test_matches_row_major_reference_at_default_resolution(self, name):
+        problem = make_problem(name)
+        solver = GridScalarizer(problem)
+        reference = _RowMajorReference(problem, problem.default_grid_resolution)
+        for query in _seeded_queries(problem, 10, seed=23):
+            assert solver.solve(query) == reference.solve(query), query
+        # Patched's clamped windows are exercised at RESOLUTION above.
+        if name != "patched":
+            assert reference.clamped > 0
+        if name == "nonconvex":
+            assert reference.partly_feasible > 0
+
+    def test_ties_go_to_the_first_point_in_c_order(self):
+        # With 257 nodes per axis every x1 + x2 = 1 node is exact, so alpha
+        # = -1 ties along the whole anti-diagonal; C order picks x1 = 0.
+        problem = _ToySumProblem()
+        query = PSQuery(0, (2.0, 2.0), (1.0, 1.0))
+        sol = GridScalarizer(problem).solve(query)
+        assert sol.alpha == -1.0 and sol.decision == (0.0, 1.0)
+        assert sol == _RowMajorReference(problem, problem.default_grid_resolution).solve(query)
 
     def test_buffer_reuse_leaks_nothing(self):
         # A, B, A: solving B overwrites the scratch buffers with its own
@@ -337,6 +385,24 @@ class TestWireProtocol:
         sol = decode_solution(line, expected_id=2, dim=2)
         assert (sol.query_id, sol.alpha, sol.z, sol.lam) == (2, -1.0, (0.0, -1.0), (0.0, 0.0))
         assert type(sol.query_id) is int and type(sol.alpha) is float
+
+    def test_miss_record_raises_no_intersection(self):
+        line = encode_miss(9)
+        assert line == '{"query_id": 9, "noIntersection": true}'
+        with pytest.raises(NoIntersection, match="query 9"):
+            decode_solution(line, expected_id=9, dim=2)
+
+    def test_miss_record_checks_its_id_first(self):
+        with pytest.raises(ProtocolError, match="query id mismatch"):
+            decode_solution(encode_miss(4), expected_id=3, dim=2)
+        with pytest.raises(ProtocolError, match="query_id"):
+            decode_solution('{"noIntersection": true}', expected_id=3, dim=2)
+
+    def test_miss_flag_must_be_boolean(self):
+        with pytest.raises(ProtocolError, match="noIntersection"):
+            decode_solution('{"query_id": 0, "noIntersection": "yes"}', expected_id=0, dim=2)
+        line = '{"query_id": 0, "noIntersection": false, "alpha": -1, "z": [0, -1], "lambda": [0, 0]}'
+        assert decode_solution(line, expected_id=0, dim=2).alpha == -1.0
 
     def test_missing_field_rejected(self):
         with pytest.raises(ProtocolError):
