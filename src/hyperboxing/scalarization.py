@@ -11,8 +11,10 @@ Backends:
   sum((z_i/a_i)^2) <= 1.
 * :class:`GridScalarizer` -- minimax over a uniform decision grid with one
   local refinement pass.  Both passes evaluate the problem on a broadcast
-  (sparse ``indexing="ij"``) mesh and share one minimax, which takes the
-  first minimum in C order among the feasible points.
+  (sparse ``indexing="ij"``) mesh and share one minimax, an exact branch
+  and bound over tiles of the mesh: per-tile objective minima bound every
+  point's value from below, so only the tiles that can hold the first
+  minimum in C order among the feasible points are evaluated.
 * :func:`encode_query` / :func:`decode_solution` -- JSON-lines codec for
   driving an external solver over a byte stream; :func:`encode_miss` is
   the solver's "no intersection" record.
@@ -113,25 +115,40 @@ def solve_quadric_ps(query: PSQuery, a) -> PSSolution:
     return PSSolution(query.query_id, alpha, z, (0.0,) * query.dim)
 
 
+def _take(f: np.ndarray, index):
+    """f at per-axis mesh indices, reading index 0 along its singleton broadcast axes."""
+    return f[tuple(i if n > 1 else 0 for i, n in zip(index, f.shape))]
+
+
 class GridScalarizer:
     """Minimax solver over a fixed decision grid, with one refinement pass.
 
     Each pass evaluates the problem on a sparse ``indexing="ij"`` mesh of
     ``resolution`` values per axis: the evaluators get the d axes as
     broadcasting columns, so an objective that depends on few variables
-    (or a transcendental of one axis) is computed on those axes only.  An
-    image holds the axes, the objectives and the infeasible mask (None when
-    every point is feasible).  The base image is computed once; each query
-    minimaxes max_k (F_k(x) - p_k) / q_k over it, then over the image of a
-    sub-grid one base cell wide around the incumbent.
+    (or a transcendental of one axis) is computed on those axes only.  The
+    base image is computed once; each query minimaxes
+    max_k (F_k(x) - p_k) / q_k over it, then over the image of a sub-grid
+    one base cell wide around the incumbent.
 
-    Both passes go through one :meth:`_minimax`, which folds the objectives
-    into a reused ``(resolution,) * d`` buffer, sets infeasible entries to
-    +inf and takes the first minimum in C order.  That is the row a dense
+    Each pass is an exact branch and bound over tiles of ``T`` points per
+    axis, ``T = round(64 ** (1 / d))``.  An image keeps, per objective, its
+    minimum over the feasible points of every tile.  The tile's bound
+    max_k (min F_k - p_k) / q_k uses the float operations of the point
+    values, and rounding is monotone, so it is at most the computed value
+    of every point in the tile.  The tile of least bound is evaluated
+    exactly; its best value B is attained, so every tile whose bound
+    exceeds B holds no minimum and no tie of one.  The points of the tiles
+    with bound <= B are evaluated exactly, and the least value wins, ties
+    going to the first point in C order.  That is the point a dense
     row-major mesh filtered to its feasible points would pick, so the
-    answers equal that dense solve bit for bit.  The buffers are shared by
-    every query; an instance must therefore not be called from two threads
-    at once.
+    answers equal that dense solve bit for bit.
+
+    The tile minima are folded with strided slices, ``f[t::T]`` for each
+    t < T along each axis: every step is one elementwise ``np.minimum``
+    into the accumulator, and a short last tile needs no padding.  On a
+    512 x 512 objective this takes about as long as one elementwise pass
+    (0.2 ms), where ``np.minimum.reduceat`` or a reshape-min take 1.3-1.5 ms.
     """
 
     def __init__(self, problem, resolution: int | None = None):
@@ -144,15 +161,20 @@ class GridScalarizer:
         self._lo = np.array([lo for lo, _ in problem.decision_box])
         self._hi = np.array([hi for _, hi in problem.decision_box])
         self._cell = (self._hi - self._lo) / self.resolution
-        shape = (self.resolution,) * len(self._lo)
-        self._alphas = np.empty(shape)
-        self._scratch = np.empty(shape)
+        d = len(self._lo)
+        self._tile = round(64 ** (1 / d))
+        self._tiles = (-(-self.resolution // self._tile),) * d
         self._base = self._image(self._lo, self._hi)
         if self._base is None:
             raise InfeasibleProblem(f"no feasible grid point for {problem.name}")
 
     def _image(self, lo, hi):
-        """(axes, objectives, infeasible mask) of the mesh over [lo, hi]; None if nothing is feasible."""
+        """(axes, objectives, infeasible mask, tile minima) of the mesh over [lo, hi].
+
+        None if nothing is feasible.  The mask is None when every point is
+        feasible.  Objectives keep their broadcast shapes, padded on the left
+        to d axes, and so do their tile minima.
+        """
         d = len(lo)
         axes = []
         for k in range(d):
@@ -160,35 +182,89 @@ class GridScalarizer:
             shape[k] = self.resolution
             axes.append(np.linspace(lo[k], hi[k], self.resolution).reshape(shape))
         feasible = np.asarray(self.problem.feasible_columns(*axes))
+        feasible = feasible.reshape((1,) * (d - feasible.ndim) + feasible.shape)
         if not feasible.any():
             return None
         infeasible = None if feasible.all() else ~feasible
-        return axes, self.problem.evaluate_columns(*axes), infeasible
+        objectives = []
+        minima = []
+        for k, f in enumerate(self.problem.evaluate_columns(*axes)):
+            f = np.asarray(f)
+            f = f.reshape((1,) * (d - f.ndim) + f.shape)
+            masked = f
+            if infeasible is not None:
+                # A value of f enters a tile's minimum when some feasible
+                # point of the tile carries it: OR the mask over each tile
+                # along the axes f ignores.
+                ignored = [a for a in range(d) if f.shape[a] == 1 and feasible.shape[a] > 1]
+                masked = np.where(self._fold(feasible, np.logical_or, ignored), f, np.inf)
+            tmin = self._fold(masked, np.minimum, [a for a in range(d) if f.shape[a] > 1])
+            if np.isnan(tmin).any():
+                raise ValueError(f"objective {k} of {self.problem.name} is NaN at a feasible grid point")
+            objectives.append(f)
+            minima.append(tmin)
+        return axes, objectives, infeasible, minima
+
+    def _fold(self, a: np.ndarray, ufunc, axes) -> np.ndarray:
+        """Reduce a by ufunc over every tile along the given axes, by strided slices."""
+        T = self._tile
+        for axis in axes:
+            lead = (slice(None),) * axis
+            acc = a[lead + (slice(0, None, T),)].copy()
+            for t in range(1, min(T, a.shape[axis])):
+                part = a[lead + (slice(t, None, T),)]
+                head = acc[lead + (slice(0, part.shape[axis]),)]
+                ufunc(head, part, out=head)
+            a = acc
+        return a
+
+    def _tile_bounds(self, image, p, q) -> np.ndarray:
+        """Lower bound max_k (min F_k - p_k) / q_k of the values in each tile."""
+        for k, tmin in enumerate(image[3]):
+            value = (tmin - p[k]) / q[k]
+            bound = value if k == 0 else np.maximum(bound, value)
+        return np.broadcast_to(bound, self._tiles)
 
     def _minimax(self, image, p, q) -> tuple[np.ndarray, Point, float]:
-        """Decision, objective vector and value of the first minimum of max_k (f_k - p_k) / q_k.
+        """Decision, objective vector and value of the first minimum of max_k (f_k - p_k) / q_k."""
+        axes, objectives = image[:2]
+        r, d = self.resolution, len(axes)
+        bound = self._tile_bounds(image, p, q)
+        first = np.unravel_index(int(bound.argmin()), bound.shape)
+        best = self._tile_values(image, p, q, np.array([first]))[0].min()
+        alphas, index = self._tile_values(image, p, q, np.argwhere(bound <= best))
+        flat = sum(ix * r ** (d - 1 - a) for a, ix in enumerate(index))
+        alphas, flat = (v.ravel() for v in np.broadcast_arrays(alphas, flat))
+        hits = np.flatnonzero(alphas == alphas.min())
+        j = hits[flat[hits].argmin()]
+        at = np.unravel_index(int(flat[j]), (r,) * d)
+        x = np.array([axis.flat[i] for axis, i in zip(axes, at)])
+        z = tuple(float(_take(f, at)) for f in objectives)
+        return x, z, float(alphas[j])
+
+    def _tile_values(self, image, p, q, tiles: np.ndarray) -> tuple[np.ndarray, list]:
+        """Values of the points of the (K, d) tile indices, with their per-axis mesh indices.
 
         The max is folded objective by objective in the order max(axis=1)
         over an (N, m) image uses, so the values match that reduction bit
-        for bit.
+        for bit.  Index arrays are clipped at the last mesh point, so a
+        short last tile repeats that point, which changes neither the
+        minimum nor the first index that attains it.
         """
-        axes, objectives, infeasible = image
-        alphas = self._alphas
+        _, objectives, infeasible, _ = image
+        T, d = self._tile, tiles.shape[1]
+        index = []
+        for a in range(d):
+            shape = [len(tiles)] + [1] * d
+            shape[a + 1] = T
+            ix = np.minimum(tiles[:, a, None] * T + np.arange(T), self.resolution - 1)
+            index.append(ix.reshape(shape))
         for k, f in enumerate(objectives):
-            if np.shape(f) == alphas.shape:
-                out = self._scratch if k else alphas
-                value = np.divide(np.subtract(f, p[k], out=out), q[k], out=out)
-            else:
-                value = (f - p[k]) / q[k]
-            folded = value if k == 0 else np.maximum(folded, value, out=alphas)
-        if folded is not alphas:
-            np.copyto(alphas, folded)
+            value = (_take(f, index) - p[k]) / q[k]
+            alphas = value if k == 0 else np.maximum(alphas, value)
         if infeasible is not None:
-            np.copyto(alphas, np.inf, where=infeasible)
-        at = np.unravel_index(int(alphas.argmin()), alphas.shape)
-        x = np.array([axis.flat[i] for axis, i in zip(axes, at)])
-        z = tuple(float(np.broadcast_to(f, alphas.shape)[at]) for f in objectives)
-        return x, z, float(alphas[at])
+            alphas = np.where(_take(infeasible, index), np.inf, alphas)
+        return alphas, index
 
     def solve(self, query: PSQuery) -> PSSolution:
         p = np.asarray(query.p)

@@ -141,6 +141,8 @@ class _Store:
             strict &= self.beyond(col, v)
             touch |= col == v
         cand = np.flatnonzero(touch & self.alive[: self.n])
+        if not len(cand):  # the usual case: no tie to gather
+            return np.flatnonzero(strict), cand, cand
         sub = coords.take(cand, axis=1)
         p = np.asarray(pt)[:, None]
         ties = (sub == p) & (self.beyond(sub, p).sum(axis=0) == self.m - 1)

@@ -167,9 +167,46 @@ class TestGridSolver:
         assert problem.evaluate((3.5, 0.0, 0.0)) == (-35.0, -35.0, 36.75)
         assert problem.evaluate((2.0, 0.0, 1.0)) == (-40.0, -40.0, 24.0)
 
+    def test_nan_objective_refused_in_the_base_pass(self):
+        # The base node x2 = 0.5 lies in the hole.
+        with pytest.raises(ValueError, match="objective 1 of toyhole is NaN"):
+            GridScalarizer(_ToyHoleProblem(0.4, 0.6))
+
+    def test_nan_objective_refused_in_the_refinement_pass(self):
+        # No base node (x2 = 0, 0.25, ..., 1) lies in the hole; the
+        # incumbent x = (0, 0.25) refines over x2 = 0.05, 0.15, ..., 0.45.
+        solver = GridScalarizer(_ToyHoleProblem(0.1, 0.2))
+        with pytest.raises(ValueError, match="objective 1 of toyhole is NaN"):
+            solver.solve(PSQuery(0, (1.0, 1.0), (1.0, 1.0)))
+
+    def test_nan_at_an_infeasible_point_is_ignored(self):
+        problem = _ToyHoleProblem(0.1, 0.2, feasible_in_hole=False)
+        sol = GridScalarizer(problem).solve(PSQuery(0, (1.0, 1.0), (1.0, 1.0)))
+        assert math.isfinite(sol.alpha) and not 0.1 < sol.decision[1] < 0.2
+
     def test_resolution_must_be_sane(self):
         with pytest.raises(ValueError):
             GridScalarizer(make_problem("nonconvex"), 1)
+
+
+class _ToyHoleProblem:
+    """F(x) = (x1, sqrt((x2 - a)(x2 - b))) on [0, 1]^2: NaN wherever a < x2 < b."""
+
+    name = "toyhole"
+    decision_box = ((0.0, 1.0), (0.0, 1.0))
+    default_grid_resolution = 5
+
+    def __init__(self, a, b, feasible_in_hole=True):
+        self.a, self.b = a, b
+        self.feasible_in_hole = feasible_in_hole
+
+    def evaluate_columns(self, x1, x2):
+        with np.errstate(invalid="ignore"):
+            return x1, np.sqrt((x2 - self.a) * (x2 - self.b))
+
+    def feasible_columns(self, x1, x2):
+        ok = np.ones(np.broadcast_shapes(np.shape(x1), np.shape(x2)), dtype=bool)
+        return ok if self.feasible_in_hole else ok & ((x2 <= self.a) | (x2 >= self.b))
 
 
 def _evaluate_rows(problem, x):
@@ -259,7 +296,7 @@ def _seeded_queries(problem, n, seed):
 
 
 class TestGridSolverBitIdentity:
-    """The broadcast-mesh, buffered solve must match the dense row-major one exactly."""
+    """The pruned broadcast-mesh solve must match the dense row-major one exactly."""
 
     RESOLUTION = 48
 
@@ -288,6 +325,18 @@ class TestGridSolverBitIdentity:
         if name == "nonconvex":
             assert reference.partly_feasible > 0
 
+    @pytest.mark.parametrize("name", ["patched", "comet", "nonconvex"])
+    def test_matches_row_major_reference_with_short_last_tiles(self, name):
+        # 45 is not a multiple of the tile width (8 for d = 2, 4 for d = 3),
+        # so the last tile on every axis is short.
+        problem = make_problem(name)
+        solver = GridScalarizer(problem, 45)
+        assert 45 % solver._tile
+        reference = _RowMajorReference(problem, 45)
+        for query in _seeded_queries(problem, 50, seed=29):
+            assert solver.solve(query) == reference.solve(query), query
+        assert reference.clamped > 0
+
     def test_ties_go_to_the_first_point_in_c_order(self):
         # With 257 nodes per axis every x1 + x2 = 1 node is exact, so alpha
         # = -1 ties along the whole anti-diagonal; C order picks x1 = 0.
@@ -297,9 +346,46 @@ class TestGridSolverBitIdentity:
         assert sol.alpha == -1.0 and sol.decision == (0.0, 1.0)
         assert sol == _RowMajorReference(problem, problem.default_grid_resolution).solve(query)
 
+    def test_ties_across_tiles_go_to_the_first_point_in_c_order(self):
+        # At 129 nodes the alpha = -1 anti-diagonal i + j = 128 crosses many
+        # 8 x 8 tiles.  Tile by tile, the first tie met is (1, 127), in tile
+        # (0, 15); C order picks (0, 128), alone in the short last tile.
+        problem = _ToySumProblem()
+        query = PSQuery(0, (2.0, 2.0), (1.0, 1.0))
+        sol = GridScalarizer(problem, 129).solve(query)
+        assert sol.alpha == -1.0 and sol.decision == (0.0, 1.0)
+        assert sol == _RowMajorReference(problem, 129).solve(query)
+
+    @pytest.mark.parametrize("name", ["patched", "comet", "nonconvex"])
+    def test_tile_bounds_never_exceed_the_values_inside(self, name):
+        # On the base mesh and on the refinement window of each query, every
+        # tile's bound is at most the least exact value inside the tile.
+        problem = make_problem(name)
+        solver = GridScalarizer(problem, 45)
+        T, tiles = solver._tile, solver._tiles
+        for query in _seeded_queries(problem, 10, seed=31):
+            p, q = np.asarray(query.p), np.asarray(query.q)
+            x = np.asarray(solver.solve(query).decision)
+            window = solver._image(np.maximum(solver._lo, x - solver._cell),
+                                   np.minimum(solver._hi, x + solver._cell))
+            for image in (solver._base, window):
+                bound = solver._tile_bounds(image, p, q)
+                axes, objectives, infeasible, _ = image
+                shape = (solver.resolution,) * len(axes)
+                alphas = np.max([np.broadcast_to((f - pk) / qk, shape)
+                                 for f, pk, qk in zip(objectives, p, q)], axis=0)
+                if infeasible is not None:
+                    alphas = np.where(infeasible, np.inf, alphas)
+                padded = np.full(tuple(n * T for n in tiles), np.inf)
+                padded[tuple(slice(0, n) for n in shape)] = alphas
+                split = [v for n in tiles for v in (n, T)]
+                least = padded.reshape(split).min(axis=tuple(range(1, 2 * len(tiles), 2)))
+                assert (bound <= least).all(), query
+                assert np.isfinite(bound).any()
+
     def test_buffer_reuse_leaks_nothing(self):
-        # A, B, A: solving B overwrites the scratch buffers with its own
-        # values; the second A must still match the first and the oracle.
+        # A, B, A: the solver keeps no state between queries, so the second
+        # A must match the first and the oracle.
         problem = make_problem("nonconvex")
         solver = GridScalarizer(problem, self.RESOLUTION)
         reference = _RowMajorReference(problem, self.RESOLUTION)
