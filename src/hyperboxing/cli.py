@@ -62,6 +62,20 @@ def _report_dict(report: RunReport, empirical_alpha=None, sampler_slack=None) ->
     return out
 
 
+def _write_outputs(args, report: RunReport, empirical_alpha=None, sampler_slack=None) -> int:
+    """Write the points CSV and JSON report asked for; exit code 1 if truncated."""
+    if args.out:
+        write_points_csv(args.out, report.points, report.m)
+    if args.report:
+        with open(args.report, "w") as fh:
+            json.dump(_report_dict(report, empirical_alpha, sampler_slack), fh, indent=2)
+            fh.write("\n")
+    if report.truncated:
+        print("warning: iteration cap reached, representation is partial", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _add_common_flags(parser: argparse.ArgumentParser, with_problem: bool = True) -> None:
     if with_problem:
         parser.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
@@ -98,21 +112,12 @@ def cmd_run(args) -> int:
         samples = problem.sample_front(args.samples, args.seed)
         empirical_alpha = approximation_quality(report.points, samples)
         sampler_slack = covering_slack(samples)
-    if args.out:
-        write_points_csv(args.out, report.points, problem.m)
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(_report_dict(report, empirical_alpha, sampler_slack), fh, indent=2)
-            fh.write("\n")
     print(
         f"{report.problem} m={report.m} eps={report.epsilon} {report.strategy.value}: "
         f"|Z_R|={report.cardinality}, iterations={report.iterations}, "
         f"stalled={report.stalled_boxes}, finalMaxBoxSize={report.final_max_box_size:.6g}"
     )
-    if report.truncated:
-        print("warning: iteration cap reached, representation is partial", file=sys.stderr)
-        return 1
-    return 0
+    return _write_outputs(args, report, empirical_alpha, sampler_slack)
 
 
 def cmd_compare(args) -> int:
@@ -154,8 +159,7 @@ def cmd_serve(args) -> int:
             spec = json.load(fh)
         lower = tuple(float(v) for v in spec["l0"])
         upper = tuple(float(v) for v in spec["u0"])
-        scale = tuple(u - l for l, u in zip(lower, upper))
-        box = Box(lower, upper, scale)
+        box = Box(lower, upper, tuple(u - l for l, u in zip(lower, upper)))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: bad start box file: {exc}", file=sys.stderr)
         return 2
@@ -166,14 +170,11 @@ def cmd_serve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     stdin, stdout = sys.stdin, sys.stdout
-    line_no = 0
 
     def solve(query):
-        nonlocal line_no
         stdout.write(encode_query(query) + "\n")
         stdout.flush()
         line = stdin.readline()
-        line_no += 1
         if not line:
             raise ProtocolError("unexpected end of input")
         return decode_solution(line, expected_id=query.query_id, dim=box.dim)
@@ -182,21 +183,12 @@ def cmd_serve(args) -> int:
     try:
         region_time, solve_time = refine(session, solve)
     except (ProtocolError, ContractError) as exc:
-        print(f"error: line {line_no}: {exc}", file=sys.stderr)
+        # Each finished iteration read one answer line; the failing one read the next.
+        print(f"error: line {session.iterations + 1}: {exc}", file=sys.stderr)
         return 1
     stdout.write(encode_done() + "\n")
     stdout.flush()
-    if args.out:
-        write_points_csv(args.out, [e.z for e in session.entries], box.dim)
-    if args.report:
-        report = session.report(None, started, region_time, solve_time)
-        with open(args.report, "w") as fh:
-            json.dump(_report_dict(report), fh, indent=2)
-            fh.write("\n")
-    if session.truncated:
-        print("warning: iteration cap reached, representation is partial", file=sys.stderr)
-        return 1
-    return 0
+    return _write_outputs(args, session.report(None, started, region_time, solve_time))
 
 
 def cmd_sample_front(args) -> int:

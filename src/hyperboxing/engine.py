@@ -76,14 +76,23 @@ class RepresentationEntry:
     box_upper: Point
 
 
+def _table_entries(table: np.ndarray, m: int) -> list[RepresentationEntry]:
+    """The entries of a table of accepted points in ``RunReport.table``'s layout."""
+    return [
+        RepresentationEntry(tuple(row[:m]), tuple(row[m : 2 * m]), row[2 * m],
+                            tuple(row[2 * m + 1 : 3 * m + 1]), tuple(row[3 * m + 1 :]))
+        for row in table.tolist()
+    ]
+
+
 @dataclass
 class RunReport:
     """What one run produced and how long it took.
 
     ``table`` holds one row per accepted point: z, s, alpha and the corners
-    of the selected box, as 4m + 1 float64 columns.  ``entries`` and
-    ``points`` rebuild the Python views from it; float64 holds each value
-    exactly.
+    of the selected box, as 4m + 1 float64 columns, copied from the session.
+    ``entries`` and ``points`` rebuild the Python views from it; float64
+    holds each value exactly.
     """
 
     problem: str | None  # None for a session served to an external solver
@@ -108,12 +117,7 @@ class RunReport:
 
     @property
     def entries(self) -> list[RepresentationEntry]:
-        m = self.m
-        return [
-            RepresentationEntry(tuple(row[:m]), tuple(row[m : 2 * m]), row[2 * m],
-                                tuple(row[2 * m + 1 : 3 * m + 1]), tuple(row[3 * m + 1 :]))
-            for row in self.table.tolist()
-        ]
+        return _table_entries(self.table, self.m)
 
     @property
     def points(self) -> list[Point]:
@@ -125,7 +129,9 @@ class Session:
 
     ``next_query`` is idempotent until the pending query is answered via
     ``submit`` (or given up via ``evict_pending`` when the backend cannot
-    solve it).
+    solve it).  ``submit`` writes each accepted point once, as a row of a
+    table in ``RunReport.table``'s layout that doubles when full; the
+    dominance test, the read-only ``entries`` and ``report`` read that table.
     """
 
     def __init__(
@@ -143,16 +149,19 @@ class Session:
         self.epsilon = float(epsilon)
         self.mode = SizeMode(mode)
         self.max_iterations = max_iterations
-        self.entries: list[RepresentationEntry] = []
         self.selected_sizes: list[float] = []
         self.iterations = 0
         self.stalled_boxes = 0
         self.skipped_dominated = 0
         self.truncated = False
-        self._accepted = np.empty((0, start_box.dim))
+        self._table = np.empty((64, 4 * start_box.dim + 1))
+        self._n = 0  # rows of the table in use
         self._pending: tuple[PSQuery, int, int, Box] | None = None
-        self._next_query_id = 0
         self._closed = False
+
+    @property
+    def entries(self) -> list[RepresentationEntry]:
+        return _table_entries(self._table[: self._n], self.region.m)
 
     def close(self) -> None:
         self._closed = True
@@ -169,12 +178,14 @@ class Session:
         if pick is None:
             return None
         box, l_id, u_id = pick
-        query = PSQuery(self._next_query_id, box.upper, box.diagonal)
+        query = PSQuery(self.iterations, box.upper, box.diagonal)
         self._pending = (query, l_id, u_id, box)
         return query
 
     def evict_pending(self) -> Ack:
         """Give up on the pending box (backend reported no intersection)."""
+        if self._closed:
+            raise SessionError("session is closed")
         if self._pending is None:
             raise ProtocolError("no pending query to evict")
         _, l_id, u_id, _ = self._pending
@@ -193,6 +204,10 @@ class Session:
             raise ProtocolError(
                 f"query id mismatch: expected {query.query_id}, got {solution.query_id}"
             )
+        m = self.region.m
+        if not len(solution.z) == len(solution.lam) == m:
+            raise ContractError(f"answer has len(z) = {len(solution.z)} and len(lambda) = "
+                                f"{len(solution.lam)}, but the region has m = {m}")
         if any(v < -1e-9 for v in solution.lam):
             raise ContractError(f"negative slack beyond tolerance: {solution.lam}")
         z = tuple(float(v) for v in solution.z)
@@ -206,7 +221,7 @@ class Session:
                     f"(p={query.p}, q={query.q}, alpha={alpha})"
                 )
 
-        dominated = bool((self._accepted <= np.asarray(z)).all(axis=1).any())
+        dominated = bool((self._table[: self._n, :m] <= np.asarray(z)).all(axis=1).any())
         self.region.apply_point(z, s, lower_only=dominated)
         stalled = self.region.contains_bound(l_id) and self.region.contains_bound(u_id)
         if stalled:
@@ -218,17 +233,16 @@ class Session:
             return Ack.SKIPPED_DOMINATED
         if stalled:
             return Ack.STALLED_EVICTED
-        self.entries.append(
-            RepresentationEntry(z, s, float(solution.alpha), box.lower, box.upper)
-        )
-        self._accepted = np.vstack([self._accepted, np.asarray(z)])
+        if self._n == len(self._table):
+            self._table = np.concatenate([self._table, np.empty_like(self._table)])
+        self._table[self._n] = (*z, *s, alpha, *box.lower, *box.upper)
+        self._n += 1
         return Ack.ACCEPTED
 
     def _finish_iteration(self) -> None:
         _, _, _, box = self._pending
         self.selected_sizes.append(box_size(box, self.mode))
         self._pending = None
-        self._next_query_id += 1
         self.iterations += 1
 
     def final_max_box_size(self) -> float:
@@ -243,23 +257,17 @@ class Session:
         ``started`` is the ``time.perf_counter()`` reading at the start of the
         run; the total wall time runs from it to the end of the report.
         """
-        final_max_box_size = self.final_max_box_size()
-        m = self.region.m
-        table = np.array(
-            [e.z + e.s + (e.alpha,) + e.box_lower + e.box_upper for e in self.entries],
-            dtype=float,
-        ).reshape(-1, 4 * m + 1)
         return RunReport(
             problem=problem,
-            m=m,
+            m=self.region.m,
             epsilon=self.epsilon,
             mode=self.mode,
             strategy=self.strategy,
-            table=table,
+            table=self._table[: self._n].copy(),
             iterations=self.iterations,
             stalled_boxes=self.stalled_boxes,
             skipped_dominated=self.skipped_dominated,
-            final_max_box_size=final_max_box_size,
+            final_max_box_size=self.final_max_box_size(),
             selected_sizes=self.selected_sizes,
             wall_time_total=time.perf_counter() - started,
             wall_time_region=region_time,

@@ -1,6 +1,7 @@
 """Refinement-driver tests: sessions, full runs and strategy comparison."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,12 +244,54 @@ class TestSession:
         with pytest.raises(SessionError):
             session.next_query()
 
+    def test_closed_session_rejects_evict_pending(self):
+        session = self.start()
+        session.next_query()
+        session.close()
+        with pytest.raises(SessionError):
+            session.evict_pending()
+        assert session.stalled_boxes == 0
+        assert session.iterations == 0
+
+    @pytest.mark.parametrize(
+        "z, lam, lengths",
+        [((-0.5, -0.5, -0.5), (0.0, 0.0), "len(z) = 3 and len(lambda) = 2"),
+         ((-0.5, -0.5), (0.0,), "len(z) = 2 and len(lambda) = 1")],
+    )
+    def test_wrong_dimension_answer_rejected_before_any_change(self, z, lam, lengths):
+        session = self.start()
+        query = session.next_query()
+        with pytest.raises(ContractError, match=rf"{re.escape(lengths)}, .* m = 2"):
+            session.submit(PSSolution(query.query_id, -0.5, z, lam))
+        assert session.next_query() is query
+        assert session.iterations == 0
+        assert session.entries == []
+
     def test_drive_to_completion_matches_run(self):
         session = self.start(epsilon=0.2)
         while (query := session.next_query()) is not None:
             session.submit(solve_quadric_ps(query, (1.0, 1.0)))
         report = run_representation(sphere_config(m=2, epsilon=0.2))
         assert [e.z for e in session.entries] == report.points
+
+    def test_point_table_grows_past_its_first_capacity(self):
+        problem = make_problem("sphere", 3)
+        session = Session(start_box_for(problem), 0.05)
+        capacity = len(session._table)
+        while (query := session.next_query()) is not None:
+            session.submit(solve_quadric_ps(query, (1.0,) * 3))
+        report = session.report(None, 0.0, 0.0, 0.0)
+        assert report.cardinality > capacity
+        assert session.entries == report.entries
+        expected = np.array(
+            [e.z + e.s + (e.alpha,) + e.box_lower + e.box_upper for e in report.entries]
+        )
+        assert report.table.dtype == expected.dtype and report.table.shape == expected.shape
+        assert report.table.tobytes() == expected.tobytes()
+        assert not np.shares_memory(report.table, session._table)
+        report.table[:] = np.nan
+        again = session.report(None, 0.0, 0.0, 0.0).table
+        assert again.tobytes() == expected.tobytes()
 
     def test_pair_table_compacted_when_dead_rows_outnumber_live_ones(self):
         # Selection drops the table's dead rows once they outnumber the live
