@@ -268,7 +268,7 @@ class Session:
             stalled_boxes=self.stalled_boxes,
             skipped_dominated=self.skipped_dominated,
             final_max_box_size=self.final_max_box_size(),
-            selected_sizes=self.selected_sizes,
+            selected_sizes=list(self.selected_sizes),
             wall_time_total=time.perf_counter() - started,
             wall_time_region=region_time,
             wall_time_solve=solve_time,

@@ -36,10 +36,18 @@ class ProblemSpec:
       ``(r, 1)``); they only have to broadcast against the columns' shape.
     * ``feasible_columns(*x)`` returns a bool array that broadcasts the
       same way.
+    * ``objective_terms(*x)``, optional, gives the objectives in term form:
+      m tuples of broadcast arrays, each objective the left-to-right sum of
+      its tuple (patched ``f3`` is ``(6.0 - h(x1), -h(x2))``).  When it is
+      set, ``evaluate_columns`` is derived from it, so the problem states
+      each formula once.  A grid solver then bounds an objective over each
+      tile of its mesh by the sum of its terms' minima there, and never
+      builds the objective over the whole mesh.
 
-    Both are elementwise, so an entry of their output is the value a single
-    decision vector would give.  A grid solver evaluates the objectives on
-    the whole mesh, infeasible points included, and ignores their values.
+    All are elementwise, so an entry of their output is the value a single
+    decision vector would give.  A grid solver evaluates the objectives (or
+    their terms) on the whole mesh, infeasible points included, and ignores
+    their values there.
     """
 
     name: str
@@ -50,12 +58,16 @@ class ProblemSpec:
     analytic_quadric: Point | None = None
     default_grid_resolution: int = 64
     evaluate_columns: Callable[..., tuple[np.ndarray, ...]] = None
+    objective_terms: Callable[..., tuple[tuple[np.ndarray, ...], ...]] | None = None
     feasible_columns: Callable[..., np.ndarray] = None
     front_sampler: Callable[[int, int], np.ndarray] | None = None
 
     def __post_init__(self):
         if not all(i <= n for i, n in zip(self.ideal, self.nadir)):
             raise ValueError("ideal point must be componentwise <= nadir point")
+        if self.objective_terms is not None:
+            terms = self.objective_terms
+            self.evaluate_columns = lambda *x: tuple(_sum_terms(f) for f in terms(*x))
 
     def feasible(self, x) -> bool:
         return bool(np.all(self.feasible_columns(*_point_columns(x))))
@@ -78,6 +90,18 @@ class ProblemSpec:
         if n < 1:
             raise ValueError("sample count must be positive")
         return self.front_sampler(n, seed)
+
+
+def _sum_terms(terms):
+    """The left-to-right sum of an objective's terms.
+
+    ``scalarization`` sums gathered terms the same way in its own copy, so
+    that neither module imports the other.
+    """
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def _point_columns(x) -> tuple[np.ndarray, ...]:
@@ -259,8 +283,9 @@ def _make_patched() -> ProblemSpec:
     bands = _PATCHED_BANDS
     h_max = float(_patched_h(np.array([bands[1][1]]))[0])
 
-    def evaluate_columns(x1, x2):
-        return x1, x2, 6.0 - _patched_h(x1) - _patched_h(x2)
+    def objective_terms(x1, x2):
+        # 6 - h(x1) - h(x2), with the same roundings: a + (-b) == a - b.
+        return (x1,), (x2,), (6.0 - _patched_h(x1), -_patched_h(x2))
 
     def feasible_columns(x1, x2):
         return (x1 >= 0.0) & (x1 <= 1.0) & (x2 >= 0.0) & (x2 <= 1.0)
@@ -278,7 +303,7 @@ def _make_patched() -> ProblemSpec:
         rng = np.random.default_rng(seed)
         x1 = _draw_axis(rng, n)
         x2 = _draw_axis(rng, n)
-        return np.stack(evaluate_columns(x1, x2), axis=1)
+        return np.stack([_sum_terms(f) for f in objective_terms(x1, x2)], axis=1)
 
     return ProblemSpec(
         name="patched",
@@ -287,7 +312,7 @@ def _make_patched() -> ProblemSpec:
         ideal=(0.0, 0.0, 6.0 - 2.0 * h_max),
         nadir=(0.86, 0.86, 6.0),
         default_grid_resolution=512,
-        evaluate_columns=evaluate_columns,
+        objective_terms=objective_terms,
         feasible_columns=feasible_columns,
         front_sampler=front_sampler,
     )

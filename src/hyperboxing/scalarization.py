@@ -12,7 +12,8 @@ Backends:
 * :class:`GridScalarizer` -- minimax over a uniform decision grid with one
   local refinement pass.  Both passes evaluate the problem on a broadcast
   (sparse ``indexing="ij"``) mesh and share one minimax, an exact branch
-  and bound over tiles of the mesh: per-tile objective minima bound every
+  and bound over tiles of the mesh: per-tile objective minima (summed from
+  per-term minima for objectives given as sums of terms) bound every
   point's value from below, so only the tiles that can hold the first
   minimum in C order among the feasible points are evaluated.
 * :func:`encode_query` / :func:`decode_solution` -- JSON-lines codec for
@@ -115,6 +116,19 @@ def solve_quadric_ps(query: PSQuery, a) -> PSSolution:
     return PSSolution(query.query_id, alpha, z, (0.0,) * query.dim)
 
 
+def _pad(a: np.ndarray, d: int) -> np.ndarray:
+    """a with singleton axes prepended up to d axes."""
+    return a.reshape((1,) * (d - a.ndim) + a.shape)
+
+
+def _sum_terms(terms):
+    """The left-to-right sum of an objective's terms, as ``ProblemSpec`` sums them."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
 def _take(f: np.ndarray, index):
     """f at per-axis mesh indices, reading index 0 along its singleton broadcast axes."""
     return f[tuple(i if n > 1 else 0 for i, n in zip(index, f.shape))]
@@ -133,10 +147,15 @@ class GridScalarizer:
 
     Each pass is an exact branch and bound over tiles of ``T`` points per
     axis, ``T = round(64 ** (1 / d))``.  An image keeps, per objective, its
-    minimum over the feasible points of every tile.  The tile's bound
+    minimum over the feasible points of every tile.  For an objective in
+    term form (``problem.objective_terms``) it keeps instead the
+    left-to-right sum of each term's minimum over the tile's feasible
+    points, so the objective over the whole mesh is never built: float
+    addition is monotone in each argument, so that sum is at most the
+    computed value of every point in the tile.  The tile's bound
     max_k (min F_k - p_k) / q_k uses the float operations of the point
-    values, and rounding is monotone, so it is at most the computed value
-    of every point in the tile.  The tile of least bound is evaluated
+    values, and rounding is monotone, so it too is at most the computed
+    value of every point in the tile.  The tile of least bound is evaluated
     exactly; its best value B is attained, so every tile whose bound
     exceeds B holds no minimum and no tie of one.  The points of the tiles
     with bound <= B are evaluated exactly, and the least value wins, ties
@@ -172,8 +191,10 @@ class GridScalarizer:
         """(axes, objectives, infeasible mask, tile minima) of the mesh over [lo, hi].
 
         None if nothing is feasible.  The mask is None when every point is
-        feasible.  Objectives keep their broadcast shapes, padded on the left
-        to d axes, and so do their tile minima.
+        feasible.  Each objective is a tuple of terms, one term when the
+        problem gives no ``objective_terms``; terms keep their broadcast
+        shapes, padded on the left to d axes, and an objective's tile minima
+        are the left-to-right sum of its terms' tile minima.
         """
         d = len(lo)
         axes = []
@@ -181,27 +202,38 @@ class GridScalarizer:
             shape = [1] * d
             shape[k] = self.resolution
             axes.append(np.linspace(lo[k], hi[k], self.resolution).reshape(shape))
-        feasible = np.asarray(self.problem.feasible_columns(*axes))
-        feasible = feasible.reshape((1,) * (d - feasible.ndim) + feasible.shape)
+        feasible = _pad(np.asarray(self.problem.feasible_columns(*axes)), d)
         if not feasible.any():
             return None
         infeasible = None if feasible.all() else ~feasible
-        objectives = []
+        terms = getattr(self.problem, "objective_terms", None)
+        if terms is None:
+            objectives = [(f,) for f in self.problem.evaluate_columns(*axes)]
+        else:
+            objectives = terms(*axes)
+        objectives = [tuple(_pad(np.asarray(t), d) for t in f) for f in objectives]
         minima = []
-        for k, f in enumerate(self.problem.evaluate_columns(*axes)):
-            f = np.asarray(f)
-            f = f.reshape((1,) * (d - f.ndim) + f.shape)
-            masked = f
-            if infeasible is not None:
-                # A value of f enters a tile's minimum when some feasible
-                # point of the tile carries it: OR the mask over each tile
-                # along the axes f ignores.
-                ignored = [a for a in range(d) if f.shape[a] == 1 and feasible.shape[a] > 1]
-                masked = np.where(self._fold(feasible, np.logical_or, ignored), f, np.inf)
-            tmin = self._fold(masked, np.minimum, [a for a in range(d) if f.shape[a] > 1])
+        for k, f in enumerate(objectives):
+            term_minima = []
+            for t in f:
+                masked = t
+                if infeasible is not None:
+                    # A value of t enters a tile's minimum when some feasible
+                    # point of the tile carries it: OR the mask over each tile
+                    # along the axes t ignores.
+                    ignored = [a for a in range(d) if t.shape[a] == 1 and feasible.shape[a] > 1]
+                    masked = np.where(self._fold(feasible, np.logical_or, ignored), t, np.inf)
+                own = [a for a in range(d) if t.shape[a] > 1]
+                term_minima.append(self._fold(masked, np.minimum, own))
+            tmin = _sum_terms(term_minima)
+            name = self.problem.name
             if np.isnan(tmin).any():
-                raise ValueError(f"objective {k} of {self.problem.name} is NaN at a feasible grid point")
-            objectives.append(f)
+                raise ValueError(f"objective {k} of {name} is NaN at a feasible grid point")
+            # A sum of terms is NaN where +inf meets -inf: with no -inf term
+            # at a feasible point, no point's sum is NaN.
+            if len(f) > 1 and any(np.isneginf(tm).any() for tm in term_minima):
+                raise ValueError(
+                    f"objective {k} of {name} is -inf in a term at a feasible grid point")
             minima.append(tmin)
         return axes, objectives, infeasible, minima
 
@@ -239,7 +271,7 @@ class GridScalarizer:
         j = hits[flat[hits].argmin()]
         at = np.unravel_index(int(flat[j]), (r,) * d)
         x = np.array([axis.flat[i] for axis, i in zip(axes, at)])
-        z = tuple(float(_take(f, at)) for f in objectives)
+        z = tuple(float(_sum_terms([_take(t, at) for t in f])) for f in objectives)
         return x, z, float(alphas[j])
 
     def _tile_values(self, image, p, q, tiles: np.ndarray) -> tuple[np.ndarray, list]:
@@ -260,7 +292,7 @@ class GridScalarizer:
             ix = np.minimum(tiles[:, a, None] * T + np.arange(T), self.resolution - 1)
             index.append(ix.reshape(shape))
         for k, f in enumerate(objectives):
-            value = (_take(f, index) - p[k]) / q[k]
+            value = (_sum_terms([_take(t, index) for t in f]) - p[k]) / q[k]
             alphas = value if k == 0 else np.maximum(alphas, value)
         if infeasible is not None:
             alphas = np.where(_take(infeasible, index), np.inf, alphas)

@@ -293,6 +293,16 @@ class TestSession:
         again = session.report(None, 0.0, 0.0, 0.0).table
         assert again.tobytes() == expected.tobytes()
 
+    def test_report_taken_mid_run_stays_as_it_was(self):
+        session = Session(Box((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)), 0.1)
+        session.submit(solve_quadric_ps(session.next_query(), (1.0, 1.0)))
+        report = session.report(None, 0.0, 0.0, 0.0)
+        assert len(report.selected_sizes) == report.iterations == 1
+        session.submit(solve_quadric_ps(session.next_query(), (1.0, 1.0)))
+        assert len(report.selected_sizes) == 1
+        assert report.selected_sizes is not session.selected_sizes
+        assert len(session.selected_sizes) == 2
+
     def test_pair_table_compacted_when_dead_rows_outnumber_live_ones(self):
         # Selection drops the table's dead rows once they outnumber the live
         # ones, so the argmax never scans more than twice the live rows.

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperboxing.problems import make_problem
+from hyperboxing.problems import ProblemSpec, make_problem
 from hyperboxing.scalarization import (
     ContractError,
     GridScalarizer,
@@ -13,6 +13,7 @@ from hyperboxing.scalarization import (
     ProtocolError,
     PSQuery,
     PSSolution,
+    _sum_terms,
     decode_query,
     decode_solution,
     encode_done,
@@ -372,7 +373,7 @@ class TestGridSolverBitIdentity:
                 bound = solver._tile_bounds(image, p, q)
                 axes, objectives, infeasible, _ = image
                 shape = (solver.resolution,) * len(axes)
-                alphas = np.max([np.broadcast_to((f - pk) / qk, shape)
+                alphas = np.max([np.broadcast_to((_sum_terms(f) - pk) / qk, shape)
                                  for f, pk, qk in zip(objectives, p, q)], axis=0)
                 if infeasible is not None:
                     alphas = np.where(infeasible, np.inf, alphas)
@@ -395,6 +396,57 @@ class TestGridSolverBitIdentity:
         again = solver.solve(a)
         assert first == again == reference.solve(a)
         assert middle == reference.solve(b)
+
+
+def _toy_band_problem(outer, inner, feasible=None):
+    """F(x) = (x1, outer(x1) + inner(x2)) on [0, 1]^2, the second objective in term form.
+
+    By default x2 has an infeasible band, 0.25 < x2 < 0.4, across the
+    minimum of the default inner term at x2 = 0.3.
+    """
+    return ProblemSpec(
+        name="toyband", m=2, decision_box=((0.0, 1.0), (0.0, 1.0)),
+        ideal=(0.0, 0.0), nadir=(1.0, 2.0),
+        objective_terms=lambda x1, x2: ((x1,), (outer(x1), inner(x2))),
+        feasible_columns=feasible or (lambda x1, x2: (x2 <= 0.25) | (x2 >= 0.4)),
+    )
+
+
+class TestGridSolverTerms:
+    """Objectives given as sums of terms: tile minima summed from the terms' own minima."""
+
+    @pytest.mark.parametrize("resolution", [45, 48])
+    def test_matches_row_major_reference_with_an_infeasible_band(self, resolution):
+        problem = _toy_band_problem(lambda x1: 1.0 - np.sqrt(x1),
+                                    lambda x2: 2.0 * np.square(x2 - 0.3))
+        solver = GridScalarizer(problem, resolution)
+        reference = _RowMajorReference(problem, resolution)
+        for query in _seeded_queries(problem, 50, seed=37):
+            assert solver.solve(query) == reference.solve(query), query
+        # The masked term path ran on refinement windows that straddle the band.
+        assert reference.partly_feasible > 0
+
+    def test_nan_term_refused(self):
+        problem = _toy_band_problem(lambda x1: x1, lambda x2: np.sqrt(x2 - 0.5))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="objective 1 of toyband is NaN"):
+                GridScalarizer(problem, 8)
+
+    def test_infinite_terms_of_opposite_sign_refused(self):
+        # -log(x1) is +inf at x1 = 0, log(x2) is -inf at x2 = 0: their sum is
+        # NaN at the feasible corner (0, 0), and the solver refuses the -inf term.
+        problem = _toy_band_problem(lambda x1: -np.log(x1), np.log, lambda x1, x2: x2 >= 0.0)
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ValueError, match="objective 1 of toyband is -inf in a term"):
+                GridScalarizer(problem, 8)
+
+    def test_infinite_terms_at_infeasible_points_are_ignored(self):
+        # With x2 = 0 infeasible, the -inf of log(x2) is masked out, and the
+        # +inf of -log(x1) at x1 = 0 only gives sums of +inf, which never win.
+        problem = _toy_band_problem(lambda x1: -np.log(x1), np.log, lambda x1, x2: x2 > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sol = GridScalarizer(problem, 8).solve(PSQuery(0, (1.0, 2.0), (1.0, 1.0)))
+        assert math.isfinite(sol.alpha) and sol.decision[0] > 0.0 and sol.decision[1] > 0.0
 
 
 class TestWireProtocol:
