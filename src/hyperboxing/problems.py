@@ -3,6 +3,9 @@
 Five problems: sphere and ellipsoid (any m >= 2, closed-form scalarization),
 plus three tri-objective problems (non-convex connected front, comet-shaped
 front, patched front with four disconnected parts) solved on a decision grid.
+Each states its objectives once, as sums of broadcast terms, and its
+feasible set as a decision box plus, for sphere, ellipsoid and nonconvex, a
+constraint beyond that box.
 """
 
 from __future__ import annotations
@@ -26,48 +29,59 @@ class UnsupportedProblem(ValueError):
 class ProblemSpec:
     """A multi-objective test problem in decision-space form.
 
-    The evaluators take the d decision variables as d float arrays, one
+    The callables take the d decision variables as d float arrays, one
     column each, that broadcast against each other: a grid solver passes
     the axes of a sparse ``indexing="ij"`` mesh (axis k has shape
     ``(1, ..., r, ..., 1)``), a sampler passes d arrays of shape ``(n,)``.
 
-    * ``evaluate_columns(*x)`` returns m objective arrays.  Each may keep
-      the smallest shape its formula needs (patched ``f1 = x1`` stays
-      ``(r, 1)``); they only have to broadcast against the columns' shape.
-    * ``feasible_columns(*x)`` returns a bool array that broadcasts the
-      same way.
-    * ``objective_terms(*x)``, optional, gives the objectives in term form:
-      m tuples of broadcast arrays, each objective the left-to-right sum of
-      its tuple (patched ``f3`` is ``(6.0 - h(x1), -h(x2))``).  When it is
-      set, ``evaluate_columns`` is derived from it, so the problem states
-      each formula once.  A grid solver then bounds an objective over each
-      tile of its mesh by the sum of its terms' minima there, and never
-      builds the objective over the whole mesh.
+    * ``objective_terms(*x)`` returns m tuples of broadcast arrays, one per
+      objective, each objective the left-to-right sum of its tuple.  A
+      plain objective is a 1-tuple; patched ``f3`` is
+      ``(6.0 - h(x1), -h(x2))``.  A term may keep the smallest shape its
+      formula needs (patched ``f1 = x1`` stays ``(r, 1)``).  A grid solver
+      bounds an objective over each tile of its mesh by the sum of its
+      terms' minima there, and never builds the objective over the mesh.
+    * ``constraint_columns(*x)``, optional, returns a bool array that
+      broadcasts the same way.  It states only the constraints beyond
+      ``decision_box``, which the methods below add themselves.
 
     All are elementwise, so an entry of their output is the value a single
-    decision vector would give.  A grid solver evaluates the objectives (or
-    their terms) on the whole mesh, infeasible points included, and ignores
-    their values there.
+    decision vector would give.  A grid solver evaluates the terms on the
+    whole mesh, infeasible points included, and ignores their values there.
     """
 
     name: str
-    m: int
-    decision_box: tuple[tuple[float, float], ...] | None
+    decision_box: tuple[tuple[float, float], ...]
     ideal: Point
     nadir: Point
+    objective_terms: Callable[..., tuple[tuple[np.ndarray, ...], ...]]
+    constraint_columns: Callable[..., np.ndarray] | None = None
     analytic_quadric: Point | None = None
     default_grid_resolution: int = 64
-    evaluate_columns: Callable[..., tuple[np.ndarray, ...]] = None
-    objective_terms: Callable[..., tuple[tuple[np.ndarray, ...], ...]] | None = None
-    feasible_columns: Callable[..., np.ndarray] = None
     front_sampler: Callable[[int, int], np.ndarray] | None = None
 
     def __post_init__(self):
+        if len(self.ideal) != len(self.nadir):
+            raise ValueError("ideal and nadir points must have the same length")
         if not all(i <= n for i, n in zip(self.ideal, self.nadir)):
             raise ValueError("ideal point must be componentwise <= nadir point")
-        if self.objective_terms is not None:
-            terms = self.objective_terms
-            self.evaluate_columns = lambda *x: tuple(_sum_terms(f) for f in terms(*x))
+
+    @property
+    def m(self) -> int:
+        return len(self.ideal)
+
+    def evaluate_columns(self, *x) -> tuple[np.ndarray, ...]:
+        """The m objective arrays: each objective's terms, summed."""
+        return tuple(_sum_terms(f) for f in self.objective_terms(*x))
+
+    def feasible_columns(self, *x) -> np.ndarray:
+        """Inside ``decision_box``, and the constraint if there is one."""
+        ok = np.bool_(True)
+        for xk, (lo, hi) in zip(x, self.decision_box, strict=True):
+            ok = ok & ((xk >= lo) & (xk <= hi))
+        if self.constraint_columns is not None:
+            ok = ok & self.constraint_columns(*x)
+        return ok
 
     def feasible(self, x) -> bool:
         return bool(np.all(self.feasible_columns(*_point_columns(x))))
@@ -93,11 +107,7 @@ class ProblemSpec:
 
 
 def _sum_terms(terms):
-    """The left-to-right sum of an objective's terms.
-
-    ``scalarization`` sums gathered terms the same way in its own copy, so
-    that neither module imports the other.
-    """
+    """The left-to-right sum of an objective's terms."""
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -144,10 +154,10 @@ def _make_quadric(name: str, m: int) -> ProblemSpec:
         a = (float(m),) + (1.0,) * (m - 1)
     a_arr = np.asarray(a)
 
-    def evaluate_columns(*x):
-        return x
+    def objective_terms(*x):
+        return tuple((xk,) for xk in x)
 
-    def feasible_columns(*x):
+    def constraint_columns(*x):
         total = np.square(x[0] / a[0])
         for xk, ak in zip(x[1:], a[1:]):
             total = total + np.square(xk / ak)
@@ -162,13 +172,12 @@ def _make_quadric(name: str, m: int) -> ProblemSpec:
 
     return ProblemSpec(
         name=name,
-        m=m,
         decision_box=tuple((-ai, 0.0) for ai in a),
         ideal=tuple(-ai for ai in a),
         nadir=(0.0,) * m,
+        objective_terms=objective_terms,
+        constraint_columns=constraint_columns,
         analytic_quadric=a,
-        evaluate_columns=evaluate_columns,
-        feasible_columns=feasible_columns,
         front_sampler=front_sampler,
     )
 
@@ -180,10 +189,10 @@ _NC_X2_MAX = math.log(5.0)
 
 
 def _make_nonconvex() -> ProblemSpec:
-    def evaluate_columns(x1, x2, x3):
-        return -x1, -x2, -np.square(x3)
+    def objective_terms(x1, x2, x3):
+        return (-x1,), (-x2,), (-np.square(x3),)
 
-    def feasible_columns(x1, x2, x3):
+    def constraint_columns(x1, x2, x3):
         return x3 - np.cos(x1) - np.exp(-x2) <= 1e-9
 
     def front_sampler(n: int, seed: int) -> np.ndarray:
@@ -199,13 +208,12 @@ def _make_nonconvex() -> ProblemSpec:
 
     return ProblemSpec(
         name="nonconvex",
-        m=3,
         decision_box=((0.0, math.pi), (0.0, _NC_X2_MAX), (1.2, 2.0)),
         ideal=(-_NC_X1_MAX, -_NC_X2_MAX, -4.0),
         nadir=(0.0, 0.0, -1.44),
+        objective_terms=objective_terms,
+        constraint_columns=constraint_columns,
         default_grid_resolution=64,
-        evaluate_columns=evaluate_columns,
-        feasible_columns=feasible_columns,
         front_sampler=front_sampler,
     )
 
@@ -226,14 +234,6 @@ def _comet_objectives(x1, x2, x3):
 
 
 def _make_comet() -> ProblemSpec:
-    box = ((1.0, 3.5), (-2.0, 2.0), (0.0, 1.0))
-
-    def feasible_columns(*x):
-        ok = np.bool_(True)
-        for xk, (lo, hi) in zip(x, box):
-            ok = ok & (xk >= lo) & (xk <= hi)
-        return ok
-
     def front_sampler(n: int, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         half = max(n, 1024)
@@ -250,13 +250,11 @@ def _make_comet() -> ProblemSpec:
 
     return ProblemSpec(
         name="comet",
-        m=3,
-        decision_box=box,
+        decision_box=((1.0, 3.5), (-2.0, 2.0), (0.0, 1.0)),
         ideal=(_COMET_F1_MIN, _COMET_F1_MIN, 3.0),
         nadir=(4.0, 4.0, 73.5),
+        objective_terms=lambda *x: tuple((f,) for f in _comet_objectives(*x)),
         default_grid_resolution=72,
-        evaluate_columns=_comet_objectives,
-        feasible_columns=feasible_columns,
         front_sampler=front_sampler,
     )
 
@@ -287,9 +285,6 @@ def _make_patched() -> ProblemSpec:
         # 6 - h(x1) - h(x2), with the same roundings: a + (-b) == a - b.
         return (x1,), (x2,), (6.0 - _patched_h(x1), -_patched_h(x2))
 
-    def feasible_columns(x1, x2):
-        return (x1 >= 0.0) & (x1 <= 1.0) & (x2 >= 0.0) & (x2 <= 1.0)
-
     lengths = np.array([hi - lo for lo, hi in bands])
 
     def _draw_axis(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -307,13 +302,11 @@ def _make_patched() -> ProblemSpec:
 
     return ProblemSpec(
         name="patched",
-        m=3,
         decision_box=((0.0, 1.0), (0.0, 1.0)),
         ideal=(0.0, 0.0, 6.0 - 2.0 * h_max),
         nadir=(0.86, 0.86, 6.0),
-        default_grid_resolution=512,
         objective_terms=objective_terms,
-        feasible_columns=feasible_columns,
+        default_grid_resolution=512,
         front_sampler=front_sampler,
     )
 

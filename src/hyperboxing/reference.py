@@ -13,6 +13,7 @@ creation criterion, in scalar form over :class:`Bound` views.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -246,10 +247,14 @@ def check_indices(region: SearchRegion) -> None:
     and only selection skips it.  The region stores exactly the bounds that
     have a partner.
     """
-    # Each map is rebuilt from the pair table on access, so read it once.
-    opp_upper, opp_lower = region.opp_upper, region.opp_lower
+    # Both partner maps, from one pass over the pair table's live rows.
     pairs = region._pairs
-    if not pairs.live == int(pairs.alive[: pairs.n].sum()) == sum(map(len, opp_upper.values())):
+    live = pairs.alive[: pairs.n]
+    opp_upper, opp_lower = defaultdict(set), defaultdict(set)
+    for l_id, u_id in zip(pairs.ids(LOWER)[live].tolist(), pairs.ids(UPPER)[live].tolist()):
+        opp_upper[l_id].add(u_id)
+        opp_lower[u_id].add(l_id)
+    if not pairs.live == int(live.sum()) == sum(map(len, opp_upper.values())):
         raise AssertionError("the pair table miscounts its live rows or holds a pair twice")
     for kind, opp in ((LOWER, opp_upper), (UPPER, opp_lower)):
         stored = set(region._stores[kind].live_view()[1].tolist())

@@ -12,10 +12,10 @@ Backends:
 * :class:`GridScalarizer` -- minimax over a uniform decision grid with one
   local refinement pass.  Both passes evaluate the problem on a broadcast
   (sparse ``indexing="ij"``) mesh and share one minimax, an exact branch
-  and bound over tiles of the mesh: per-tile objective minima (summed from
-  per-term minima for objectives given as sums of terms) bound every
-  point's value from below, so only the tiles that can hold the first
-  minimum in C order among the feasible points are evaluated.
+  and bound over tiles of the mesh: per-tile objective minima, summed
+  from the minima of each objective's terms, bound every point's value
+  from below, so only the tiles that can hold the first minimum in C
+  order among the feasible points are evaluated.
 * :func:`encode_query` / :func:`decode_solution` -- JSON-lines codec for
   driving an external solver over a byte stream; :func:`encode_miss` is
   the solver's "no intersection" record.
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point
+from .problems import _sum_terms
 
 
 class NoIntersection(Exception):
@@ -121,14 +122,6 @@ def _pad(a: np.ndarray, d: int) -> np.ndarray:
     return a.reshape((1,) * (d - a.ndim) + a.shape)
 
 
-def _sum_terms(terms):
-    """The left-to-right sum of an objective's terms, as ``ProblemSpec`` sums them."""
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
-
-
 def _take(f: np.ndarray, index):
     """f at per-axis mesh indices, reading index 0 along its singleton broadcast axes."""
     return f[tuple(i if n > 1 else 0 for i, n in zip(index, f.shape))]
@@ -138,28 +131,28 @@ class GridScalarizer:
     """Minimax solver over a fixed decision grid, with one refinement pass.
 
     Each pass evaluates the problem on a sparse ``indexing="ij"`` mesh of
-    ``resolution`` values per axis: the evaluators get the d axes as
-    broadcasting columns, so an objective that depends on few variables
-    (or a transcendental of one axis) is computed on those axes only.  The
-    base image is computed once; each query minimaxes
-    max_k (F_k(x) - p_k) / q_k over it, then over the image of a sub-grid
-    one base cell wide around the incumbent.
+    ``resolution`` values per axis: ``problem.objective_terms`` and
+    ``problem.constraint_columns`` get the d axes as broadcasting columns,
+    so a term that depends on few variables (or a transcendental of one
+    axis) is computed on those axes only.  Both meshes lie inside the
+    decision box, so only a problem's constraint beyond the box can make a
+    mesh point infeasible.  The base image is computed once; each query
+    minimaxes max_k (F_k(x) - p_k) / q_k over it, then over the image of a
+    sub-grid one base cell wide around the incumbent.
 
     Each pass is an exact branch and bound over tiles of ``T`` points per
-    axis, ``T = round(64 ** (1 / d))``.  An image keeps, per objective, its
-    minimum over the feasible points of every tile.  For an objective in
-    term form (``problem.objective_terms``) it keeps instead the
-    left-to-right sum of each term's minimum over the tile's feasible
-    points, so the objective over the whole mesh is never built: float
-    addition is monotone in each argument, so that sum is at most the
-    computed value of every point in the tile.  The tile's bound
-    max_k (min F_k - p_k) / q_k uses the float operations of the point
-    values, and rounding is monotone, so it too is at most the computed
-    value of every point in the tile.  The tile of least bound is evaluated
-    exactly; its best value B is attained, so every tile whose bound
-    exceeds B holds no minimum and no tie of one.  The points of the tiles
-    with bound <= B are evaluated exactly, and the least value wins, ties
-    going to the first point in C order.  That is the point a dense
+    axis, ``T = round(64 ** (1 / d))``.  An image keeps, per objective, the
+    left-to-right sum of its terms' minima over the feasible points of
+    every tile, so an objective of several terms is never built over the
+    whole mesh: float addition is monotone in each argument, so that sum is
+    at most the computed value of every point in the tile.  The tile's
+    bound max_k (min F_k - p_k) / q_k uses the float operations of the
+    point values, and rounding is monotone, so it too is at most the
+    computed value of every point in the tile.  The tile of least bound is
+    evaluated exactly; its best value B is attained, so every tile whose
+    bound exceeds B holds no minimum and no tie of one.  The points of the
+    tiles with bound <= B are evaluated exactly, and the least value wins,
+    ties going to the first point in C order.  That is the point a dense
     row-major mesh filtered to its feasible points would pick, so the
     answers equal that dense solve bit for bit.
 
@@ -171,8 +164,6 @@ class GridScalarizer:
     """
 
     def __init__(self, problem, resolution: int | None = None):
-        if problem.decision_box is None:
-            raise ValueError(f"problem {problem.name} has no decision box")
         self.problem = problem
         self.resolution = int(problem.default_grid_resolution if resolution is None else resolution)
         if self.resolution < 2:
@@ -191,10 +182,9 @@ class GridScalarizer:
         """(axes, objectives, infeasible mask, tile minima) of the mesh over [lo, hi].
 
         None if nothing is feasible.  The mask is None when every point is
-        feasible.  Each objective is a tuple of terms, one term when the
-        problem gives no ``objective_terms``; terms keep their broadcast
-        shapes, padded on the left to d axes, and an objective's tile minima
-        are the left-to-right sum of its terms' tile minima.
+        feasible.  Each objective is its tuple of terms; terms keep their
+        broadcast shapes, padded on the left to d axes, and an objective's
+        tile minima are the left-to-right sum of its terms' tile minima.
         """
         d = len(lo)
         axes = []
@@ -202,16 +192,17 @@ class GridScalarizer:
             shape = [1] * d
             shape[k] = self.resolution
             axes.append(np.linspace(lo[k], hi[k], self.resolution).reshape(shape))
-        feasible = _pad(np.asarray(self.problem.feasible_columns(*axes)), d)
-        if not feasible.any():
-            return None
-        infeasible = None if feasible.all() else ~feasible
-        terms = getattr(self.problem, "objective_terms", None)
-        if terms is None:
-            objectives = [(f,) for f in self.problem.evaluate_columns(*axes)]
-        else:
-            objectives = terms(*axes)
-        objectives = [tuple(_pad(np.asarray(t), d) for t in f) for f in objectives]
+        infeasible = None
+        if self.problem.constraint_columns is not None:
+            # The mesh lies inside the decision box, so only the constraint
+            # beyond it can exclude a point.
+            feasible = _pad(np.asarray(self.problem.constraint_columns(*axes)), d)
+            if not feasible.any():
+                return None
+            if not feasible.all():
+                infeasible = ~feasible
+        objectives = [tuple(_pad(np.asarray(t), d) for t in f)
+                      for f in self.problem.objective_terms(*axes)]
         minima = []
         for k, f in enumerate(objectives):
             term_minima = []

@@ -10,6 +10,7 @@ import pytest
 from hyperboxing import problems
 from hyperboxing.problems import (
     PROBLEM_NAMES,
+    ProblemSpec,
     UnsupportedProblem,
     make_problem,
     nondominated_mask,
@@ -54,6 +55,17 @@ class TestMakeProblem:
             spec = make_problem(name, 3)
             assert all(i < n for i, n in zip(spec.ideal, spec.nadir))
 
+    @pytest.mark.parametrize("name, m", [(name, 3) for name in PROBLEM_NAMES]
+                             + [("sphere", 2), ("ellipsoid", 5), ("sphere", 9)])
+    def test_m_is_the_length_of_ideal(self, name, m):
+        spec = make_problem(name, m)
+        assert spec.m == len(spec.ideal) == len(spec.nadir) == m
+
+    def test_ideal_and_nadir_of_different_lengths_refused(self):
+        with pytest.raises(ValueError, match="same length"):
+            ProblemSpec(name="short", decision_box=((0.0, 1.0),), ideal=(0.0, 0.0),
+                        nadir=(1.0, 1.0, 1.0), objective_terms=lambda x: ((x,), (1.0 - x,)))
+
     def test_unsupported_combinations(self):
         with pytest.raises(ValueError):
             make_problem("sphere", 1)
@@ -79,6 +91,17 @@ class TestEvaluate:
         assert not spec.feasible((1.0, 1.0, 2.0))
         with pytest.raises(ValueError):
             spec.evaluate((1.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize("name, m, x", [
+        ("sphere", 2, (0.1, -0.5)),        # inside the ball, outside [-1, 0]^2
+        ("comet", 3, (5.0, 0.0, 0.0)),
+        ("patched", 3, (1.5, 0.5)),
+    ])
+    def test_outside_the_decision_box_is_infeasible(self, name, m, x):
+        spec = make_problem(name, m)
+        assert not spec.feasible(x)
+        with pytest.raises(ValueError, match="infeasible"):
+            spec.evaluate(x)
 
     def test_sphere_identity_map(self):
         spec = make_problem("sphere", 2)

@@ -93,44 +93,28 @@ class TestQuadricSolver:
             assert s2.z == pytest.approx(s1.z, abs=1e-10)
 
 
-class _ToyLineProblem:
+def _toy_line_problem():
     """F(x) = (x, 1 - x) on [0, 1]: a straight front for closed-form checks."""
-
-    name = "toyline"
-    decision_box = ((0.0, 1.0),)
-    default_grid_resolution = 256
-
-    @staticmethod
-    def evaluate_columns(x):
-        return x, 1.0 - x
-
-    @staticmethod
-    def feasible_columns(x):
-        return np.ones(np.shape(x), dtype=bool)
+    return ProblemSpec(
+        name="toyline", decision_box=((0.0, 1.0),), ideal=(0.0, 0.0), nadir=(1.0, 1.0),
+        objective_terms=lambda x: ((x,), (1.0 - x,)), default_grid_resolution=256,
+    )
 
 
-class _ToySumProblem:
+def _toy_sum_problem():
     """F(x) = (x1 + x2, 2 - x1 - x2) on [0, 1]^2: a dyadic grid ties along each anti-diagonal."""
-
-    name = "toysum"
-    decision_box = ((0.0, 1.0), (0.0, 1.0))
-    default_grid_resolution = 257
-
-    @staticmethod
-    def evaluate_columns(x1, x2):
-        total = x1 + x2
-        return total, 2.0 - total
-
-    @staticmethod
-    def feasible_columns(x1, x2):
-        return np.ones(np.broadcast_shapes(np.shape(x1), np.shape(x2)), dtype=bool)
+    return ProblemSpec(
+        name="toysum", decision_box=((0.0, 1.0), (0.0, 1.0)), ideal=(0.0, 0.0), nadir=(2.0, 2.0),
+        objective_terms=lambda x1, x2: ((x1 + x2,), (2.0 - (x1 + x2),)),
+        default_grid_resolution=257,
+    )
 
 
 class TestGridSolver:
     def test_toy_line_closed_form(self):
         # One refinement pass leaves an error of about one refined cell,
         # (2/255)/255 ~ 3e-5 here.
-        sol = GridScalarizer(_ToyLineProblem()).solve(PSQuery(0, (1.0, 1.0), (1.0, 1.0)))
+        sol = GridScalarizer(_toy_line_problem()).solve(PSQuery(0, (1.0, 1.0), (1.0, 1.0)))
         assert sol.alpha == pytest.approx(-0.5, abs=1e-4)
         assert sol.z == pytest.approx((0.5, 0.5), abs=1e-4)
         assert sol.decision == pytest.approx((0.5,), abs=1e-4)
@@ -138,7 +122,7 @@ class TestGridSolver:
     def test_alpha_nonpositive_when_p_attainable(self):
         # With 257 grid nodes x = 0.25 is the 65th node, so the attainable
         # point F(0.25) = (0.25, 0.75) = p is hit exactly and alpha <= 0.
-        sol = GridScalarizer(_ToyLineProblem(), 257).solve(PSQuery(0, (0.25, 0.75), (1.0, 1.0)))
+        sol = GridScalarizer(_toy_line_problem(), 257).solve(PSQuery(0, (0.25, 0.75), (1.0, 1.0)))
         assert sol.alpha <= 0.0
 
     def test_s_on_query_line_and_z_below_s(self):
@@ -171,17 +155,17 @@ class TestGridSolver:
     def test_nan_objective_refused_in_the_base_pass(self):
         # The base node x2 = 0.5 lies in the hole.
         with pytest.raises(ValueError, match="objective 1 of toyhole is NaN"):
-            GridScalarizer(_ToyHoleProblem(0.4, 0.6))
+            GridScalarizer(_toy_hole_problem(0.4, 0.6))
 
     def test_nan_objective_refused_in_the_refinement_pass(self):
         # No base node (x2 = 0, 0.25, ..., 1) lies in the hole; the
         # incumbent x = (0, 0.25) refines over x2 = 0.05, 0.15, ..., 0.45.
-        solver = GridScalarizer(_ToyHoleProblem(0.1, 0.2))
+        solver = GridScalarizer(_toy_hole_problem(0.1, 0.2))
         with pytest.raises(ValueError, match="objective 1 of toyhole is NaN"):
             solver.solve(PSQuery(0, (1.0, 1.0), (1.0, 1.0)))
 
     def test_nan_at_an_infeasible_point_is_ignored(self):
-        problem = _ToyHoleProblem(0.1, 0.2, feasible_in_hole=False)
+        problem = _toy_hole_problem(0.1, 0.2, feasible_in_hole=False)
         sol = GridScalarizer(problem).solve(PSQuery(0, (1.0, 1.0), (1.0, 1.0)))
         assert math.isfinite(sol.alpha) and not 0.1 < sol.decision[1] < 0.2
 
@@ -190,24 +174,19 @@ class TestGridSolver:
             GridScalarizer(make_problem("nonconvex"), 1)
 
 
-class _ToyHoleProblem:
+def _toy_hole_problem(a, b, feasible_in_hole=True):
     """F(x) = (x1, sqrt((x2 - a)(x2 - b))) on [0, 1]^2: NaN wherever a < x2 < b."""
 
-    name = "toyhole"
-    decision_box = ((0.0, 1.0), (0.0, 1.0))
-    default_grid_resolution = 5
-
-    def __init__(self, a, b, feasible_in_hole=True):
-        self.a, self.b = a, b
-        self.feasible_in_hole = feasible_in_hole
-
-    def evaluate_columns(self, x1, x2):
+    def objective_terms(x1, x2):
         with np.errstate(invalid="ignore"):
-            return x1, np.sqrt((x2 - self.a) * (x2 - self.b))
+            return (x1,), (np.sqrt((x2 - a) * (x2 - b)),)
 
-    def feasible_columns(self, x1, x2):
-        ok = np.ones(np.broadcast_shapes(np.shape(x1), np.shape(x2)), dtype=bool)
-        return ok if self.feasible_in_hole else ok & ((x2 <= self.a) | (x2 >= self.b))
+    return ProblemSpec(
+        name="toyhole", decision_box=((0.0, 1.0), (0.0, 1.0)), ideal=(0.0, 0.0), nadir=(1.0, 1.0),
+        objective_terms=objective_terms,
+        constraint_columns=None if feasible_in_hole else (lambda x1, x2: (x2 <= a) | (x2 >= b)),
+        default_grid_resolution=5,
+    )
 
 
 def _evaluate_rows(problem, x):
@@ -341,7 +320,7 @@ class TestGridSolverBitIdentity:
     def test_ties_go_to_the_first_point_in_c_order(self):
         # With 257 nodes per axis every x1 + x2 = 1 node is exact, so alpha
         # = -1 ties along the whole anti-diagonal; C order picks x1 = 0.
-        problem = _ToySumProblem()
+        problem = _toy_sum_problem()
         query = PSQuery(0, (2.0, 2.0), (1.0, 1.0))
         sol = GridScalarizer(problem).solve(query)
         assert sol.alpha == -1.0 and sol.decision == (0.0, 1.0)
@@ -351,7 +330,7 @@ class TestGridSolverBitIdentity:
         # At 129 nodes the alpha = -1 anti-diagonal i + j = 128 crosses many
         # 8 x 8 tiles.  Tile by tile, the first tie met is (1, 127), in tile
         # (0, 15); C order picks (0, 128), alone in the short last tile.
-        problem = _ToySumProblem()
+        problem = _toy_sum_problem()
         query = PSQuery(0, (2.0, 2.0), (1.0, 1.0))
         sol = GridScalarizer(problem, 129).solve(query)
         assert sol.alpha == -1.0 and sol.decision == (0.0, 1.0)
@@ -405,10 +384,10 @@ def _toy_band_problem(outer, inner, feasible=None):
     minimum of the default inner term at x2 = 0.3.
     """
     return ProblemSpec(
-        name="toyband", m=2, decision_box=((0.0, 1.0), (0.0, 1.0)),
+        name="toyband", decision_box=((0.0, 1.0), (0.0, 1.0)),
         ideal=(0.0, 0.0), nadir=(1.0, 2.0),
         objective_terms=lambda x1, x2: ((x1,), (outer(x1), inner(x2))),
-        feasible_columns=feasible or (lambda x1, x2: (x2 <= 0.25) | (x2 >= 0.4)),
+        constraint_columns=feasible or (lambda x1, x2: (x2 <= 0.25) | (x2 >= 0.4)),
     )
 
 

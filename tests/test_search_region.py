@@ -379,14 +379,14 @@ def _heap_pick(region):
     key on size and volume).
     """
     lower, upper = region._stores[LOWER], region._stores[UPPER]
+    pairs = region._pairs
+    live = pairs.alive[: pairs.n]
     heap = []
-    for l_id, partners in region.opp_upper.items():
-        lo = lower.coords_of(l_id)
-        for u_id in partners:
-            if (l_id, u_id) not in region._evicted:
-                up = upper.coords_of(u_id)
-                size, volume = box_measures(lo, up, region.scale)
-                heapq.heappush(heap, (-size, -volume, tuple(-v for v in lo + up), l_id, u_id))
+    for l_id, u_id in zip(pairs.ids(LOWER)[live].tolist(), pairs.ids(UPPER)[live].tolist()):
+        if (l_id, u_id) not in region._evicted:
+            lo, up = lower.coords_of(l_id), upper.coords_of(u_id)
+            size, volume = box_measures(lo, up, region.scale)
+            heapq.heappush(heap, (-size, -volume, tuple(-v for v in lo + up), l_id, u_id))
     if not heap:
         return None, False
     top = heapq.heappop(heap)
