@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -182,12 +183,18 @@ def cmd_serve(args) -> int:
     started = time.perf_counter()
     try:
         region_time, solve_time = refine(session, solve)
+        stdout.write(encode_done() + "\n")
+        stdout.flush()
     except (ProtocolError, ContractError) as exc:
         # Each finished iteration read one answer line; the failing one read the next.
         print(f"error: line {session.iterations + 1}: {exc}", file=sys.stderr)
         return 1
-    stdout.write(encode_done() + "\n")
-    stdout.flush()
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        print(f"error: the solver stopped reading after {session.iterations} answers",
+              file=sys.stderr)
+        return 1
     return _write_outputs(args, session.report(None, started, region_time, solve_time))
 
 

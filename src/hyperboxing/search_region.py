@@ -6,10 +6,11 @@ column-major array store, and splits every bound a new point affects in a
 few array operations.  Only children that pass the creation criterion are
 made.  Pairs of opposing bounds whose box exceeds the pruning threshold are
 rows of one column table (ids, size and volume, with tombstones), the pair
-view of L x U; a split finds its parents' pairs through an id-indexed flag
-array, and the largest box is the table's argmax.  The largest box of a
-pair dropped at or below the threshold, or evicted, is kept instead, and
-bounds every box left in L x U.
+view of L x U; a split finds its parents' pairs through the table's own
+marks, indexed by bound id, and the largest box is the table's argmax.  The
+largest box of a pair dropped at or below the threshold, or evicted, is kept
+instead, and bounds every box left in L x U.  Both tables share one storage
+core, :class:`_Rows`: growth by doubling and one compaction rule.
 
 L and U hold only the bounds with a partner: an opposing bound whose box
 exceeds the threshold.  The point sequence cannot change.  A pair forms only
@@ -45,71 +46,96 @@ class Strategy(str, Enum):
 LOWER = "lower"
 UPPER = "upper"
 
-#: A store drops its dead rows once they outnumber the live ones and it holds
-#: more than this many rows.
-COMPACT_MIN_ROWS = 512
+
+def _grown(column: np.ndarray, need: int, axis: int = 0, fill=0) -> np.ndarray:
+    """column with its room along axis doubled, or raised to need; new entries read fill."""
+    pad = [(0, 0)] * column.ndim
+    pad[axis] = (0, max(need, 2 * column.shape[axis]) - column.shape[axis])
+    return np.pad(column, pad, constant_values=fill)
 
 
-class _Store:
-    """The bounds of one kind as column-major arrays with tombstones.
+class _Rows:
+    """Columns over one row axis with tombstones: the storage of both tables.
 
-    ``coords[j, r]`` is component j of the bound in row r.  Rows are appended
-    in id order and compaction keeps that order, so ``ids[:n]`` is sorted and
-    a row is found by binary search.  ``defining[r, j]`` holds the points
-    defining component j of row r as indices into ``points``, the table of
-    distinct points applied to this kind.  -1 marks an empty slot; a group of
-    empty slots is virtual.  The slot count G starts at 1 and grows when a tie
-    finds every slot of a group taken.
+    Rows ``[0, n)`` are in use and ``alive`` marks the ``live`` ones among
+    them.  ``COLUMNS`` maps each column's name to the axis its rows lie along
+    and the value of new rows.  Rows are added at the end, every column
+    doubling when they run out.  The one compaction rule: once dead rows
+    outnumber live ones, :meth:`compact` drops them, keeping the live order.
     """
 
-    def __init__(self, kind: str, m: int, capacity: int = 256):
-        self.m = m
-        # beyond(a, b): a > b for upper bounds, a < b for lower bounds.
-        self.beyond = np.greater if kind == UPPER else np.less
-        self.coords = np.zeros((m, capacity))
-        self.ids = np.zeros(capacity, dtype=np.int64)
+    COLUMNS: dict[str, tuple[int, int]] = {"alive": (0, 0)}
+
+    def __init__(self, capacity: int):
         self.alive = np.zeros(capacity, dtype=bool)
-        self.defining = np.full((capacity, m, 1), -1, dtype=np.int32)
-        self.points = np.zeros((16, m))
-        self.point_index: dict[Point, int] = {}
         self.n = 0
         self.live = 0
 
-    def append(self, ids, coords: np.ndarray, defining=None) -> None:
-        """Add the columns of coords (m, k) as the bounds ids, ascending past every stored id."""
-        k = coords.shape[1]
-        if self.n + k > len(self.ids):
-            self._grow(self.n + k)
+    def _add(self, k: int) -> slice:
+        """k new live rows at the end; dead rows are dropped before any growth."""
+        if self.n + k > len(self.alive):
+            self.compact()
+            if self.n + k > len(self.alive):
+                for name, (axis, fill) in self.COLUMNS.items():
+                    setattr(self, name, _grown(getattr(self, name), self.n + k, axis, fill))
         rows = slice(self.n, self.n + k)
-        self.coords[:, rows] = coords
-        self.ids[rows] = ids
         self.alive[rows] = True
-        self.defining[rows] = -1 if defining is None else defining
         self.n += k
         self.live += k
+        return rows
 
     def kill(self, rows: np.ndarray) -> None:
         self.alive[rows] = False
         self.live -= len(rows)
-        if self.n > COMPACT_MIN_ROWS and self.live * 2 < self.n:
-            self._compact()
 
-    def _grow(self, need: int) -> None:
-        n = self.n
-        extra = max(need, 2 * len(self.ids)) - n
-        self.coords = np.pad(self.coords[:, :n], ((0, 0), (0, extra)))
-        self.ids = np.pad(self.ids[:n], (0, extra))
-        self.alive = np.pad(self.alive[:n], (0, extra))
-        self.defining = np.pad(self.defining[:n], ((0, extra), (0, 0), (0, 0)), constant_values=-1)
-
-    def _compact(self) -> None:
+    def compact(self) -> None:
+        """Drop the dead rows, keeping the live ones in order, once they outnumber them."""
+        if self.n - self.live <= self.live:
+            return
         keep = np.flatnonzero(self.alive[: self.n])
-        self.coords[:, : self.live] = self.coords[:, keep]
-        self.ids[: self.live] = self.ids[keep]
-        self.defining[: self.live] = self.defining[keep]
-        self.alive[: self.live] = True
+        for name, (axis, _) in self.COLUMNS.items():
+            column = getattr(self, name)
+            column[(slice(None),) * axis + (slice(0, self.live),)] = column.take(keep, axis=axis)
         self.alive[self.live : self.n] = False
         self.n = self.live
+
+
+class _Store(_Rows):
+    """The bounds of one kind as column-major arrays with tombstones.
+
+    ``coords[j, r]`` is component j of the bound in row r.  Rows are appended
+    in id order and compaction keeps that order, so ``ids[:n]`` is sorted and
+    a row is found by binary search; a store compacts as soon as a kill
+    leaves more dead rows than live ones.  ``defining[r, j]`` holds the
+    points defining component j of row r as indices into ``points``, the
+    table of distinct points applied to this kind.  -1 marks an empty slot; a
+    group of empty slots is virtual.  The slot count G starts at 1 and grows
+    when a tie finds every slot of a group taken.
+    """
+
+    COLUMNS = {"alive": (0, 0), "coords": (1, 0), "ids": (0, 0), "defining": (0, -1)}
+
+    def __init__(self, kind: str, m: int, capacity: int = 256):
+        super().__init__(capacity)
+        # beyond(a, b): a > b for upper bounds, a < b for lower bounds.
+        self.beyond, self.weakly_beyond = (
+            (np.greater, np.greater_equal) if kind == UPPER else (np.less, np.less_equal))
+        self.coords = np.zeros((m, capacity))
+        self.ids = np.zeros(capacity, dtype=np.int64)
+        self.defining = np.full((capacity, m, 1), -1, dtype=np.int32)
+        self.points = np.zeros((16, m))
+        self.point_index: dict[Point, int] = {}
+
+    def append(self, ids, coords: np.ndarray, defining=None) -> None:
+        """Add the columns of coords (m, k) as the bounds ids, ascending past every stored id."""
+        rows = self._add(coords.shape[1])
+        self.coords[:, rows] = coords
+        self.ids[rows] = ids
+        self.defining[rows] = -1 if defining is None else defining
+
+    def kill(self, rows: np.ndarray) -> None:
+        super().kill(rows)
+        self.compact()
 
     def rows_of(self, ids) -> np.ndarray:
         return np.searchsorted(self.ids[: self.n], ids)
@@ -131,23 +157,21 @@ class _Store:
 
         A tie is a (row, j) with row[j] == pt[j] while the row is strictly
         beyond pt in every other component: pt then co-defines component j.
-        Works one column at a time, which costs far less than reductions over
-        the short component axis.
+        One column-at-a-time pass (far cheaper than reductions over the short
+        component axis) keeps the rows weakly beyond pt; the strict ones equal
+        pt in no component, the ties in exactly one.
         """
         coords = self.coords[:, : self.n]
-        strict = self.alive[: self.n].copy()
-        touch = np.zeros(self.n, dtype=bool)
+        weak = self.alive[: self.n].copy()
         for col, v in zip(coords, pt):
-            strict &= self.beyond(col, v)
-            touch |= col == v
-        cand = np.flatnonzero(touch & self.alive[: self.n])
-        if not len(cand):  # the usual case: no tie to gather
-            return np.flatnonzero(strict), cand, cand
-        sub = coords.take(cand, axis=1)
-        p = np.asarray(pt)[:, None]
-        ties = (sub == p) & (self.beyond(sub, p).sum(axis=0) == self.m - 1)
-        cols, i = np.nonzero(ties)
-        return np.flatnonzero(strict), cand[i], cols
+            weak &= self.weakly_beyond(col, v)
+        cand = np.flatnonzero(weak)
+        equal = coords.take(cand, axis=1) == np.asarray(pt)[:, None]
+        if not equal.any():  # the usual case: no tie to gather
+            return cand, cand[:0], cand[:0]
+        n_equal = equal.sum(axis=0)
+        cols, i = np.nonzero(equal & (n_equal == 1))
+        return cand[n_equal == 0], cand[i], cols
 
     def point_id(self, pt: Point) -> int:
         """Index of pt in the point table, adding it if new."""
@@ -155,7 +179,7 @@ class _Store:
         if idx is None:
             idx = self.point_index[pt] = len(self.point_index)
             if idx == len(self.points):
-                self.points = np.concatenate([self.points, np.zeros_like(self.points)])
+                self.points = _grown(self.points, idx + 1)
             self.points[idx] = pt
         return idx
 
@@ -234,82 +258,61 @@ class RegionBase:
             self._split(UPPER, z)
 
 
-class _PairTable:
+class _PairTable(_Rows):
     """The indexed pairs of opposing bounds as columns with tombstones.
 
     Row r is the pair (``l_id[r]``, ``u_id[r]``) whose box has minimal edge
     ``size[r]`` and volume ``volume[r]``; a row stays live until one of its
     bounds is split.  ``size`` is also the selection key: it reads -inf on a
     dead row and on an evicted one, which stays live, so its argmax is the
-    largest selectable box.
+    largest selectable box.  The table compacts when its rows run out and
+    when the region selects a box.  It owns ``marks``, scratch flags indexed
+    by bound id that grow with the ids it stores, all False between calls.
     """
 
-    COLUMNS = ("l_id", "u_id", "size", "volume", "alive")
+    COLUMNS = {name: (0, 0) for name in ("alive", "l_id", "u_id", "size", "volume")}
 
     def __init__(self, capacity: int = 256):
+        super().__init__(capacity)
         self.l_id = np.zeros(capacity, dtype=np.int64)
         self.u_id = np.zeros(capacity, dtype=np.int64)
         self.size = np.zeros(capacity)
         self.volume = np.zeros(capacity)
-        self.alive = np.zeros(capacity, dtype=bool)
-        self.n = 0
-        self.live = 0
+        self.marks = np.zeros(capacity, dtype=bool)
 
     def ids(self, kind: str) -> np.ndarray:
         """The id column of one bound kind over the used rows."""
         return (self.l_id if kind == LOWER else self.u_id)[: self.n]
 
     def append(self, l_ids, u_ids, size, volume) -> None:
-        k = len(size)
-        if self.n + k > len(self.size):
-            # Drop the dead rows before growing, once they outnumber the live ones.
-            if self.n - self.live > self.live:
-                self.compact()
-            if self.n + k > len(self.size):
-                self._grow(self.n + k)
-        rows = slice(self.n, self.n + k)
+        rows = self._add(len(size))
         self.l_id[rows] = l_ids
         self.u_id[rows] = u_ids
         self.size[rows] = size
         self.volume[rows] = volume
-        self.alive[rows] = True
-        self.n += k
-        self.live += k
+        top = max(l_ids.max(initial=0), u_ids.max(initial=0))
+        if top >= len(self.marks):
+            self.marks = _grown(self.marks, top + 1)
 
     def kill(self, rows: np.ndarray) -> None:
-        self.alive[rows] = False
+        super().kill(rows)
         self.size[rows] = -np.inf
-        self.live -= len(rows)
 
-    def _grow(self, need: int) -> None:
-        extra = max(need, 2 * len(self.size)) - self.n
-        for name in self.COLUMNS:
-            setattr(self, name, np.pad(getattr(self, name)[: self.n], (0, extra)))
-
-    def compact(self) -> None:
-        keep = np.flatnonzero(self.alive[: self.n])
-        for name in self.COLUMNS:
-            column = getattr(self, name)
-            column[: self.live] = column[keep]
-        self.alive[self.live : self.n] = False
-        self.n = self.live
-
-    def rows_with(self, kind: str, ids: np.ndarray, flag: np.ndarray) -> np.ndarray:
-        """The live rows whose bound of this kind is one of ids.
-
-        ``flag`` is an all-False array indexed by bound id, left all-False.
-        """
-        flag[ids] = True
-        rows = np.flatnonzero(flag[self.ids(kind)])
-        flag[ids] = False
+    def rows_with(self, kind: str, ids: np.ndarray) -> np.ndarray:
+        """The live rows whose bound of this kind is one of ids, each an id the table stored."""
+        marks = self.marks
+        marks[ids] = True
+        rows = np.flatnonzero(marks[self.ids(kind)])
+        marks[ids] = False
         return rows[self.alive[rows]]
 
-    def unpaired(self, kind: str, ids: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    def unpaired(self, kind: str, ids: np.ndarray) -> np.ndarray:
         """Those of ids that no live row holds as its bound of this kind, repeats kept."""
-        flag[ids] = True
-        flag[self.ids(kind)[self.alive[: self.n]]] = False
-        out = ids[flag[ids]]
-        flag[ids] = False
+        marks = self.marks
+        marks[ids] = True
+        marks[self.ids(kind)[self.alive[: self.n]]] = False
+        out = ids[marks[ids]]
+        marks[ids] = False
         return out
 
     def opposing(self, kind: str) -> dict[int, set[int]]:
@@ -332,8 +335,6 @@ class SearchRegion(RegionBase):
     def __init__(self, start_box: Box, epsilon: float, mode: SizeMode = SizeMode.ABSOLUTE):
         super().__init__(start_box, epsilon, mode)
         self._pairs = _PairTable()
-        # Scratch marks indexed by bound id, all False between uses.
-        self._flag = np.zeros(256, dtype=bool)
         # Largest size of a pair dropped at or below epsilon or evicted.
         self._settled = 0.0
         lower, upper = (self._stores[kind].coords[:, :1] for kind in (LOWER, UPPER))
@@ -417,15 +418,13 @@ class SearchRegion(RegionBase):
         parent_ids = store.ids[rows]  # ascending, as rows are
         store.kill(rows)
         ids = self._new_ids(len(pa))  # every child takes an id, stored or not
-        if len(self._flag) < self._next_id:
-            self._flag = np.zeros(2 * self._next_id, dtype=bool)
 
         # The parents' pairs: each names a partner, which pairs with every
         # child of that parent.
         other_kind = UPPER if kind == LOWER else LOWER
         other = self._stores[other_kind]
         table = self._pairs
-        hits = table.rows_with(kind, parent_ids, self._flag)
+        hits = table.rows_with(kind, parent_ids)
         hit_parent = np.searchsorted(parent_ids, table.ids(kind)[hits])
         partner_ids = table.ids(other_kind)[hits]
         table.kill(hits)
@@ -455,7 +454,7 @@ class SearchRegion(RegionBase):
         # Only now, with the children's pairs in place, is a partner known to
         # be left without any; it can never gain one again.
         if len(partner_ids):
-            widowed = table.unpaired(other_kind, partner_ids, self._flag)
+            widowed = table.unpaired(other_kind, partner_ids)
             if len(widowed):
                 other.kill(other.rows_of(np.unique(widowed)))
 
@@ -484,8 +483,7 @@ class SearchRegion(RegionBase):
         once they outnumber the live ones.
         """
         table = self._pairs
-        if table.n - table.live > table.live:
-            table.compact()
+        table.compact()
         size = table.size[: table.n]
         best = size.max(initial=-np.inf)
         if best == -np.inf:

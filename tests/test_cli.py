@@ -296,6 +296,34 @@ class TestServeCommand:
         assert err.startswith("error: line 1: ") and "query_id must be an integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("answered", [3, None], ids=["mid-run", "done-record"])
+    def test_solver_that_stops_reading_exits_1(self, tmp_path, answered):
+        # The solver closes its end of the engine's stdout just before its
+        # last answer, so the engine's next write, a query or the done
+        # record, meets a closed pipe.
+        if answered is None:
+            answered = run_representation(RunConfig(make_problem("sphere", 2), 0.1)).iterations
+        box_file = tmp_path / "box.json"
+        box_file.write_text('{"l0": [-1.0, -1.0], "u0": [0.0, 0.0]}')
+        out, report_path = tmp_path / "serve.csv", tmp_path / "report.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hyperboxing.cli", "serve", "--epsilon", "0.1",
+             "--start-box", str(box_file), "--out", str(out), "--report", str(report_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for k in range(answered):
+            query = decode_query(proc.stdout.readline())
+            if k == answered - 1:
+                proc.stdout.close()
+            proc.stdin.write(encode_solution(solve_quadric_ps(query, (1.0, 1.0))) + "\n")
+            proc.stdin.flush()
+        proc.stdin.close()
+        proc.wait(timeout=30)
+        err = proc.stderr.read()
+        assert proc.returncode == 1
+        assert err == f"error: the solver stopped reading after {answered} answers\n"
+        assert not out.exists() and not report_path.exists()
+
     def test_iteration_cap_exits_1_after_writing_outputs(self, tmp_path):
         answer = lambda q: encode_solution(solve_quadric_ps(q, (1.0, 1.0, 1.0)))
         report_path = tmp_path / "report.json"

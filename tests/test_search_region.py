@@ -470,10 +470,12 @@ class TestSelectionOrder:
         table = search_region._PairTable(capacity=4)
         table.append(np.arange(4), np.arange(4) + 10, np.ones(4), np.ones(4))
         table.kill(np.array([0, 1, 2]))
-        table.append(np.array([7, 8]), np.array([17, 18]), np.full(2, 2.0), np.full(2, 2.0))
+        table.append(np.array([7, 8]), np.array([17, 18]), np.full(2, 2.0), np.full(2, 3.0))
         assert len(table.size) == 4 and table.n == table.live == 3
         assert table.ids(LOWER).tolist() == [3, 7, 8]
         assert table.ids(UPPER).tolist() == [13, 17, 18]
+        assert table.size[:3].tolist() == [1.0, 2.0, 2.0]
+        assert table.volume[:3].tolist() == [1.0, 3.0, 3.0]
 
 
 class TestBlockedScan:
@@ -628,6 +630,74 @@ class TestEpsilonPruning:
         check_indices(reg)
 
 
+class TestStorageCore:
+    """Growth, compaction and scratch marks of the column tables."""
+
+    @staticmethod
+    def _filled_store(n, m=3):
+        """An upper-bound store of n rows, ids 0, 2, 4, ..., with two defining slots."""
+        store = search_region._Store(UPPER, m, capacity=4)
+        coords = np.arange(m * n, dtype=float).reshape(m, n)
+        defining = np.arange(n * m, dtype=np.int32).reshape(n, m, 1)
+        store.append(2 * np.arange(n), coords, defining)
+        # A second slot in every group of row 0 and in group 1 of every row.
+        rows = np.concatenate([np.zeros(m, dtype=int), np.arange(1, n)])
+        cols = np.concatenate([np.arange(m), np.ones(n - 1, dtype=int)])
+        store.join(rows, cols, 10_000)
+        return store, coords, store.defining[:n].copy()
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 40, 700])
+    def test_store_compaction_keeps_order_columns_and_groups(self, n):
+        store, coords, defining = self._filled_store(n)
+        assert store.defining.shape[2] == 2
+        keep = np.arange(n)[np.arange(n) % 3 == 1]  # fewer than half survive
+        store.kill(np.setdiff1d(np.arange(n), keep))
+        assert store.n == store.live == len(keep)
+        assert store.ids[: store.n].tolist() == (2 * keep).tolist()
+        assert store.alive[: store.n].all() and not store.alive[store.n :].any()
+        assert np.array_equal(store.coords[:, : store.n], coords[:, keep])
+        assert np.array_equal(store.defining[: store.n], defining[keep])
+        if len(keep):
+            assert store.coords_of(int(2 * keep[-1])) == tuple(coords[:, keep[-1]])
+
+    def test_store_keeps_rows_while_live_ones_are_the_majority(self):
+        store, _, _ = self._filled_store(9)
+        store.kill(np.array([0, 3, 6, 8]))
+        assert store.n == 9 and store.live == 5
+        store.kill(np.array([1]))
+        assert store.n == store.live == 4
+
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_store_growth_keeps_contents_and_fills_defining(self, n):
+        store, coords, defining = self._filled_store(n)
+        capacity = store.coords.shape[1]
+        assert capacity >= n and store.defining.shape == (capacity, 3, 2)
+        assert np.array_equal(store.coords[:, :n], coords)
+        assert np.array_equal(store.defining[:n], defining)
+        assert (store.defining[n:] == -1).all()
+        store.append(np.arange(2 * n, 2 * n + capacity), np.ones((3, capacity)))
+        assert store.coords.shape[1] == len(store.ids) == len(store.alive) >= n + capacity
+        assert np.array_equal(store.coords[:, :n], coords)
+        assert np.array_equal(store.defining[:n], defining)
+        assert (store.defining[n:] == -1).all()
+        assert store.n == store.live == n + capacity
+
+    def test_marks_cover_stored_ids_and_stay_clear(self):
+        table = search_region._PairTable()
+        assert len(table.marks) == 256
+        l_ids = np.array([3, 300, 300, 1000, 7])
+        u_ids = np.array([2000, 5, 2001, 6, 2000])
+        table.append(l_ids, u_ids, np.ones(5), np.ones(5))
+        assert len(table.marks) > 2001
+        table.kill(np.array([2]))
+        assert table.rows_with(LOWER, np.array([300, 1000])).tolist() == [1, 3]
+        assert table.rows_with(UPPER, np.array([2000])).tolist() == [0, 4]
+        assert not table.marks.any()
+        assert table.unpaired(UPPER, np.array([2001, 2000, 2001, 6])).tolist() == [2001, 2001]
+        assert table.unpaired(LOWER, np.array([300, 3])).tolist() == []
+        assert not table.marks.any()
+
+
 class TestArrayKernel:
     """The vectorised split against scalar references, point by point.
 
@@ -673,7 +743,7 @@ class TestArrayKernel:
                     assert set(group) == expected, (b, j, group, expected)
 
     def _sequence(self, rng, m, tied):
-        """(z, s, lower_only) triples on [0, 1]^m, and None where to compact."""
+        """(z, s, lower_only) triples on [0, 1]^m, and None where to check the slots."""
         if not tied:
             z = rng.uniform(0.05, 0.95, (self.RANDOM_LENGTH[m], m))
             return [(row, row + rng.uniform(0, 0.02, m) * (i % 2), i % 5 == 4)
@@ -687,9 +757,9 @@ class TestArrayKernel:
             return z
 
         # Four distinct points share component 0, so one upper bound gets a
-        # defining group of four.  The store is compacted after the second;
-        # the fillers lie right of that bound, so they split elsewhere without
-        # touching it.
+        # defining group of four.  The fillers after the second lie right of
+        # that bound, so they split elsewhere without touching it, and the
+        # stores compact while its slots have grown.
         rests = {tuple(grid[rng.integers(0, len(grid), m - 1)]) for _ in range(64)}
         fan = [np.array((self.FAN,) + rest) for rest in sorted(rests)[:4]]
         rng.shuffle(fan)
@@ -708,8 +778,7 @@ class TestArrayKernel:
     @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
     @pytest.mark.parametrize("mode", list(SizeMode))
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-    def test_matches_references_after_every_point(self, monkeypatch, m, mode, tied):
-        monkeypatch.setattr(search_region, "COMPACT_MIN_ROWS", 2)
+    def test_matches_references_after_every_point(self, m, mode, tied):
         rng = np.random.default_rng(1000 * m + 10 * tied + (mode == SizeMode.RELATIVE))
         scale = np.array([0.7, 1.3, 3.1, 0.9, 2.2, 1.7][:m])
         box = Box((0.0,) * m, tuple(scale), tuple(scale))
@@ -718,14 +787,11 @@ class TestArrayKernel:
         applied = {LOWER: set(), UPPER: set()}
         for item in self._sequence(rng, m, tied):
             if item is None:
-                # After the second point of the fan the slots have grown once;
-                # compaction must carry them along before they grow again.
-                # Dropping partnerless bounds may have compacted the store
-                # already, so it need not hold a dead row here.
-                upper = improved._stores[UPPER]
-                assert upper.defining.shape[2] == 2
+                # After the second point of the fan the slots have grown once,
+                # and every store holds no more dead rows than live ones.
+                assert improved._stores[UPPER].defining.shape[2] == 2
                 for store in improved._stores.values():
-                    store._compact()
+                    assert store.n - store.live <= store.live
                 continue
             z, s, lower_only = item
             z = tuple((z * scale).tolist())
